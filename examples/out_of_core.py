@@ -11,7 +11,7 @@ The execution substrate end-to-end (DESIGN.md §8–§9):
    every pass, then with *pass compaction* (survivors are rewritten
    once the working set shrinks, so later passes scan geometrically
    fewer bytes — identical answer, cheaper scan);
-3. solve on the store with ``core-csr`` (per-shard bincount CSR build)
+3. solve on the store with ``core-csr`` (O(m) counting-sort CSR build)
    and with the columnar MapReduce backend on a 4-worker process pool,
    and check all of them agree.
 

@@ -47,7 +47,8 @@ Three suites, selected with ``--suite``:
 * ``kernels`` times the kernel tier ladder and writes
   ``BENCH_kernels.json``: numpy vs bucketq vs native (numba/C) peels on
   the BENCH_core fixtures and on the ≈18M-edge nested-core store
-  (CSR-loaded; wall-clock, not a bytes proxy), plus one threaded
+  (CSR-loaded; wall-clock, not a bytes proxy), the store's CSR build
+  (numpy fill vs the C counting sort, bit-identical), plus one threaded
   shard-scan pass (4 threads vs sequential, bit-exact counters).  The
   driver asserts cross-tier result parity before recording any row;
   ``--min-speedup`` gates the native rows on the core fixtures.
@@ -958,7 +959,10 @@ def run_kernels_benches(scale_factor: float, repeats: int):
       ``CSRGraph.from_shards``, then peeled by the numpy and native
       tiers — a wall-clock comparison on a real out-of-core-sized
       input; the driver asserts the native tier wins wall-clock
-      (>1x) outright.  Plus one ``stream_scan_threads`` row timing a
+      (>1x) outright.  A ``csr_from_shards`` row times the snapshot
+      build itself, numpy fill (``REPRO_NATIVE=off``) against the C
+      counting sort, asserting bit-identical arrays; it is reported,
+      not gated.  Plus one ``stream_scan_threads`` row timing a
       threaded shard-scan pass (4 threads vs sequential) with
       bit-exact degree/weight asserts; its speedup is reported but
       not gated — on a single-core box (see ``cpu_count`` in the
@@ -1143,10 +1147,46 @@ def run_kernels_benches(scale_factor: float, repeats: int):
             line += f"   native {big_medians['native']:7.2f}s   x{ratio:5.2f}"
         print(line)
 
-        # One full shard-scan pass, sequential vs 4 worker threads —
-        # the threaded path must produce bit-identical counters.
+        # The snapshot build itself: the numpy fill (REPRO_NATIVE=off)
+        # against the C counting sort, with bit-identical arrays.
         import numpy as _np
 
+        from repro.kernels import native as native_mod
+
+        def timed_build(mode):
+            saved = os.environ.get("REPRO_NATIVE")
+            os.environ["REPRO_NATIVE"] = mode
+            native_mod.reset_backend_cache()
+            try:
+                snap = CSRGraph.from_shards(store)
+                return snap, _median_seconds(lambda: CSRGraph.from_shards(store), reps)
+            finally:
+                if saved is None:
+                    os.environ.pop("REPRO_NATIVE")
+                else:
+                    os.environ["REPRO_NATIVE"] = saved
+                native_mod.reset_backend_cache()
+
+        ref, numpy_s = timed_build("off")
+        build_row = {"bench": "csr_from_shards", "fixture": fixture,
+                     "edges": store.num_edges}
+        records.append({**build_row, "engine": "numpy", "median_seconds": numpy_s})
+        line = f"{'csr_from_shards':28s} numpy {numpy_s:7.2f}s"
+        if native_mod.c_library() is not None:
+            snap, c_s = timed_build(os.environ.get("REPRO_NATIVE", "auto"))
+            for attr in ("indptr", "indices", "weights", "degrees"):
+                assert _np.array_equal(getattr(ref, attr), getattr(snap, attr)), (
+                    f"csr_from_shards: the C fill diverged on {attr}"
+                )
+            del snap
+            records.append({**build_row, "engine": "native", "median_seconds": c_s,
+                            "speedup": numpy_s / c_s})
+            line += f"   native {c_s:7.2f}s   x{numpy_s / c_s:5.2f}"
+        del ref
+        print(line)
+
+        # One full shard-scan pass, sequential vs 4 worker threads —
+        # the threaded path must produce bit-identical counters.
         from repro.streaming.engine import _IntStreamScanner
         from repro.streaming.stream import ShardEdgeStream
 

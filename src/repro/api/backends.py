@@ -8,7 +8,7 @@ backend   wraps
 ========  ==========================================================
 core      in-memory reference peels (Algorithms 1–3 + ratio sweep);
           engine="python"|"numpy"|"auto" selects the execution engine
-core-csr  the vectorized CSR kernels (core pinned to engine="numpy")
+core-csr  the CSR kernels (compiled when it loads, else numpy)
 streaming semi-streaming engines with O(n) between-pass state
 sketch    Algorithm 1 with Count-Sketch degree counters (§5.1);
           engine="python"|"numpy"|"auto" selects the edge-scan path
@@ -288,6 +288,10 @@ class CoreSolver:
             )
         return engine
 
+    def _graph_engine(self, engine: str, graph) -> str:
+        """The engine handed to the core peels for ``graph``."""
+        return engine
+
     def solve(self, problem: Problem, **options) -> Solution:
         from ..core.atleast_k import densest_subgraph_atleast_k
         from ..core.directed import densest_subgraph_directed, ratio_sweep
@@ -298,6 +302,7 @@ class CoreSolver:
         graph = _require_graph(
             problem, self.name, allow_csr=True, allow_shards=self._accepts_shards
         )
+        engine = self._graph_engine(engine, graph)
         if isinstance(problem, DensestSubgraph):
             _reject_options(self.name, options)
             result = densest_subgraph(
@@ -333,22 +338,26 @@ register(CoreSolver)
 
 
 # ----------------------------------------------------------------------
-# core-csr — the vectorized CSR kernel engine, pinned to numpy
+# core-csr — the CSR kernel tiers (compiled or numpy)
 # ----------------------------------------------------------------------
 class CoreCSRSolver(CoreSolver):
-    """Algorithms 1–3 on the vectorized CSR kernels (numpy, always).
+    """Algorithms 1–3 on the CSR kernels, never the Python loops.
 
-    Functionally identical to ``core`` with ``engine="numpy"`` — same
-    node sets, same traces — but pinned to the kernel layer so callers
-    (and dispatch tables) can name the vectorized engine explicitly.
-    Prefers CSR snapshot inputs, which skip the per-solve conversion
-    entirely; plain graphs are snapshotted on entry, and shard stores
-    are loaded through ``CSRGraph.from_shards`` (per-shard bincount
-    passes, no dict graph).
+    Same node sets and traces as ``core`` — every tier is bit-identical
+    — but confined to the kernel layer so callers (and dispatch tables)
+    can name it explicitly.  ``engine="auto"`` (the default) takes the
+    tier :func:`repro.kernels.auto_tier` picks for the input size: the
+    compiled tier whenever it loads and the graph clears
+    ``NATIVE_SIZE_CUTOFF``, numpy otherwise, even for small
+    exotic-label graphs that ``core`` would peel in Python.
+    ``engine="numpy"`` pins the numpy tier.  Prefers CSR snapshot
+    inputs, which skip the per-solve conversion entirely; plain graphs
+    are snapshotted on entry, and shard stores are loaded through
+    ``CSRGraph.from_shards`` (an O(m) counting-sort build, no dict
+    graph).
     """
 
     name = "core-csr"
-    _engine = "numpy"
     _accepts_shards = True
 
     def capabilities(self) -> Capabilities:
@@ -367,17 +376,15 @@ class CoreCSRSolver(CoreSolver):
         # words) + indptr/degrees/masks (~3n words).
         return 3 * graph.num_edges + 3 * graph.num_nodes
 
-    def _engine_option(self, options: dict) -> str:
-        engine = options.pop("engine", "numpy")
-        if engine not in ("numpy", "auto"):
-            raise SolverError(
-                f"backend 'core-csr' is pinned to the numpy engine; "
-                f"got engine={engine!r} (use backend='core' instead)"
-            )
-        return "numpy"
+    def _graph_engine(self, engine: str, graph) -> str:
+        if engine == "auto":
+            from ..kernels import auto_tier
+
+            return auto_tier(graph.num_nodes)
+        return engine
 
 
-if CSRGraph is not None:  # the numpy-pinned backend needs its engine
+if CSRGraph is not None:  # the CSR kernels need numpy
     register(CoreCSRSolver)
 
 

@@ -519,7 +519,6 @@ def _cmd_backends(args) -> int:
             f"  n >= {ladder['native_cutoff']}: native"
             "  (when a compiled backend is importable)"
         )
-        print(f"  n >= {ladder['bucketq_cutoff']}: bucketq")
         print("  otherwise: numpy")
     return 0
 
@@ -593,11 +592,9 @@ def _cmd_densest(args) -> int:
                 f"--engine applies to the core/core-csr/mapreduce/sketch "
                 f"backends, not {backend!r}"
             )
-        if backend == "core-csr":
-            if args.engine != "numpy":
-                raise ReproError("backend 'core-csr' is pinned to the numpy engine")
-        else:
-            options["engine"] = args.engine
+        if backend == "core-csr" and args.engine != "numpy":
+            raise ReproError("backend 'core-csr' takes --engine auto or numpy")
+        options["engine"] = args.engine
     if args.compaction != "auto" or args.compaction_threshold is not None:
         if backend == "auto":
             backend = "streaming"  # compaction names the streaming engine

@@ -20,8 +20,6 @@ import math
 from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .._validation import check_positive_float
 from .._tolerances import LP_EPS
@@ -35,6 +33,10 @@ def _solve_directed_lp(
     graph: DirectedGraph, ratio: float
 ) -> Tuple[float, List[Node], np.ndarray, np.ndarray]:
     """Solve the fixed-ratio LP; returns (value, nodes, s-vector, t-vector)."""
+    # Imported here so `import repro` does not load scipy (see exact.lp).
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     graph.require_nonempty()
     check_positive_float(ratio, "ratio")
     nodes = list(graph.nodes())

@@ -21,8 +21,6 @@ from __future__ import annotations
 from typing import Hashable, List, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .._tolerances import LP_EPS
 from ..errors import SolverError
@@ -33,6 +31,11 @@ Node = Hashable
 
 def _solve_charikar_lp(graph: UndirectedGraph) -> Tuple[float, List[Node], np.ndarray]:
     """Solve the LP; returns (optimum, node order, y vector)."""
+    # scipy is imported here, not at module level: repro.core pulls
+    # this module in, and every `import repro` would pay for it.
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     graph.require_nonempty()
     nodes = list(graph.nodes())
     node_pos = {node: i for i, node in enumerate(nodes)}

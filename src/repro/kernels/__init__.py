@@ -20,8 +20,10 @@ algorithms, arranged as a tier ladder:
     specifically and warns when it degrades.
 
 All tiers return identical node sets, traces, and pass counts;
-``engine="auto"`` walks the ladder by input size (compiled > bucketq >
-numpy > python).  NumPy is a hard dependency of the package, but every
+``engine="auto"`` walks the ladder by input size (compiled > numpy >
+python).  The pure-numpy bucket queue loses to the numpy tier on every
+``BENCH_kernels.json`` row, so ``auto`` never picks it; it stays
+selectable by name.  NumPy is a hard dependency of the package, but every
 import of this layer from the algorithm modules is guarded so a
 stripped environment degrades to the pure-Python engine instead of
 failing at import time.
@@ -69,11 +71,6 @@ AUTO_SIZE_CUTOFF = 256
 #: (below it, the per-call scratch setup outweighs the loop savings).
 NATIVE_SIZE_CUTOFF = 2048
 
-#: Without a compiled backend, ``auto`` switches from the numpy tier to
-#: the pure-numpy bucket queue here — deep peels on graphs this big are
-#: where the per-pass O(n) mask rescans start to dominate.
-BUCKETQ_SIZE_CUTOFF = 32768
-
 
 def _is_int_labeled(graph) -> bool:
     """True when every node label is a plain int64-range int (cheap CSR
@@ -103,8 +100,6 @@ def auto_tier(num_nodes: int) -> str:
         return "python"
     if num_nodes >= NATIVE_SIZE_CUTOFF and native_backend() is not None:
         return "native"
-    if num_nodes >= BUCKETQ_SIZE_CUTOFF:
-        return "bucketq"
     return "numpy"
 
 
@@ -124,7 +119,6 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
         "native_backend": backend,
         "auto_ladder": {
             "native_cutoff": NATIVE_SIZE_CUTOFF,
-            "bucketq_cutoff": BUCKETQ_SIZE_CUTOFF,
             "numpy_label_cutoff": AUTO_SIZE_CUTOFF,
         },
     }
@@ -158,8 +152,8 @@ def resolve_engine(engine: str, graph=None) -> str:
     ``"auto"`` picks a vectorized tier when numpy is importable and the
     graph is int-labeled, already a CSR snapshot, or at least
     :data:`AUTO_SIZE_CUTOFF` nodes — then walks the ladder by size
-    (compiled ≥ :data:`NATIVE_SIZE_CUTOFF`, bucket queue ≥
-    :data:`BUCKETQ_SIZE_CUTOFF`, numpy otherwise).  Small exotic-label
+    (compiled ≥ :data:`NATIVE_SIZE_CUTOFF` when a compiled backend
+    loads, numpy otherwise).  Small exotic-label
     graphs stay on the Python loops, where the per-pass constant is
     lower.
 
@@ -226,7 +220,6 @@ def resolve_engine(engine: str, graph=None) -> str:
 
 __all__ = [
     "AUTO_SIZE_CUTOFF",
-    "BUCKETQ_SIZE_CUTOFF",
     "ENGINES",
     "HAVE_NUMPY",
     "NATIVE_SIZE_CUTOFF",

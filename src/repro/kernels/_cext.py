@@ -1,13 +1,16 @@
-"""Build-and-load glue for the C peeling kernels.
+"""Build-and-load glue for the C kernel library.
 
-The compiled tier has two interchangeable backends; this module is the
-one that needs nothing but a system C toolchain.  ``load()`` compiles
-``peel_kernels.c`` with ``$CC``/``cc``/``gcc``/``clang`` into a
+``peel_kernels.c`` holds the C backend of the compiled peel tier (the
+other, interchangeable backend is numba) and the count and scatter
+passes of the O(m) CSR build from shard stores
+(:mod:`repro.kernels.csr`).
+``load()`` compiles it with ``$CC``/``cc``/``gcc``/``clang`` into a
 per-user cache directory (keyed by a hash of the source, so edits
 invalidate stale builds) and returns a :class:`ctypes.CDLL` with the
-three kernel entry points declared.  Any failure — no compiler, a
-compile error, a load error — raises; :mod:`repro.kernels.native`
-catches it and falls back to the pure-numpy bucket queue.
+three peel entry points and the three CSR-build entry points declared.
+Any failure — no compiler, a compile error, a load error — raises;
+:mod:`repro.kernels.native` catches it, so the peels fall back to the
+pure-numpy bucket queue and the CSR build to its numpy fill.
 
 Environment knobs:
 
@@ -161,6 +164,23 @@ def _declare(lib: ctypes.CDLL) -> None:
         _P, _P, _P, _P,                # T bucket_of, nxt, prv, head
         _P, _P, _I64,                  # frontier, trace, trace_cap
         _PF64, _PI64, _PI64,
+    ]
+    lib.repro_csr_count.restype = ctypes.c_int
+    lib.repro_csr_count.argtypes = [
+        _P, _I64, _P, _I64,            # keys, weights + strides
+        _I64, _I64,                    # m, n
+        _P, _P, _P,                    # counts, degrees, tmp
+    ]
+    lib.repro_csr_scatter.restype = ctypes.c_int
+    lib.repro_csr_scatter.argtypes = [
+        _P, _I64, _P, _I64, _P, _I64,  # keys, vals, weights + strides
+        _I64, _I64,                    # m, n
+        _P, _P, _P, _P,                # ptr, cursor, out_idx, out_w
+    ]
+    lib.repro_csr_transpose.restype = ctypes.c_int
+    lib.repro_csr_transpose.argtypes = [
+        _I64, _P, _P, _P,              # n, src ptr/idx/w
+        _P, _P, _P, _P,                # dst ptr, cursor, dst idx/w
     ]
 
 

@@ -15,8 +15,9 @@ immutable snapshots built once per run:
   skipping the dict-of-dict detour entirely (pairs with
   :func:`repro.graph.io.read_edge_arrays`);
 * ``from_shards`` — from a :class:`~repro.store.ShardedEdgeStore`,
-  per-shard bincount + counting-sort fill passes, so nothing beyond
-  the CSR output and one shard is ever resident.
+  a per-shard bincount pass and then an O(m) counting sort (C scatter
+  passes over the shard memmaps when the C library loads, a numpy
+  fill otherwise), never a dict graph.
 
 Arrays use int32 ``indptr``/``indices`` and float64 ``weights``; node
 labels of any hashable type are factorized to dense indices at build
@@ -196,12 +197,17 @@ def _collapse(
     return uniq, weights[first]
 
 
+#: Most CSR entries a snapshot may hold: ``indptr`` and ``indices``
+#: are int32.
+MAX_CSR_ENTRIES = int(np.iinfo(np.int32).max)
+
+
 def _check_int32_entries(total: int) -> None:
     """Refuse CSR builds whose entry count would wrap int32 indices."""
-    if total > np.iinfo(np.int32).max:
+    if total > MAX_CSR_ENTRIES:
         raise GraphError(
             f"graph needs {total} CSR entries, beyond the int32 index "
-            f"space ({np.iinfo(np.int32).max}); this build does not "
+            f"space ({MAX_CSR_ENTRIES}); this build does not "
             f"support graphs that large"
         )
 
@@ -313,6 +319,142 @@ def _sort_rows_by_column(
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr).astype(np.int64))
     order = np.argsort(rows * np.int64(n) + indices.astype(np.int64), kind="stable")
     return indices[order], data[order]
+
+
+def _csr_library():
+    """The C library for the CSR build passes, or None for numpy."""
+    from . import native
+
+    return native.c_library()
+
+
+def _strided(a: np.ndarray, dtype) -> Tuple[np.ndarray, int]:
+    """``a`` as ``dtype`` plus its stride in elements, for the C passes.
+
+    Shard memmap fields are strided views into 24-byte records; they
+    pass through without a copy.  Anything the C loops cannot index
+    with a positive element stride is copied to a contiguous array.
+    """
+    a = np.asarray(a, dtype=dtype)
+    step = a.strides[0]
+    if not a.flags.aligned or step <= 0 or step % a.itemsize:
+        a = np.ascontiguousarray(a)
+        step = a.itemsize
+    return a, step // a.itemsize
+
+
+def _fill_error(found: str) -> GraphError:
+    return GraphError(
+        f"CSR fill found {found}; the shard store changed between the "
+        f"count and fill passes"
+    )
+
+
+def _check_fill_status(status: int) -> None:
+    """Raise on a nonzero status of the C scatter passes."""
+    if status == 1:
+        raise _fill_error("an edge endpoint out of range")
+    if status:
+        raise _fill_error("a bucket overflow")
+
+
+def _count_shards(lib, store, n, sides) -> float:
+    """Count pass: per-node entry counts and weighted degrees, in place.
+
+    ``sides(u, v)`` lists a shard's ``(keys, counts, degrees)`` groups;
+    each group adds ``bincount(keys)`` to ``counts`` and
+    ``bincount(keys, w)`` to ``degrees`` (the C pass sums the weights
+    in the same order, so both give the same bits).  Every id of every
+    shard is range-checked here, before any fill pass writes.  Returns
+    the total edge weight.
+    """
+    total_weight = 0.0
+    tmp = np.zeros(n, dtype=np.float64) if lib is not None else None
+    for u, v, w in store.iter_shard_arrays():
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        if lib is None:
+            _check_index_range(u, v, n)
+            for keys, counts, degrees in sides(u, v):
+                counts += np.bincount(keys, minlength=n)
+                degrees += np.bincount(keys, weights=w, minlength=n)
+        else:
+            w_s, w_step = _strided(w, np.float64)
+            for keys, counts, degrees in sides(u, v):
+                keys, key_step = _strided(keys, np.int64)
+                if lib.repro_csr_count(
+                    keys.ctypes.data, key_step, w_s.ctypes.data, w_step,
+                    keys.size, n, counts.ctypes.data, degrees.ctypes.data,
+                    tmp.ctypes.data,
+                ):
+                    _check_index_range(u, v, n)
+        total_weight += float(w.sum())
+    return total_weight
+
+
+def _c_scatter(lib, n, keys, vals, w, ptr, cursor, out_idx, out_w) -> None:
+    """Stable scatter of one shard's entries into the buckets of ``ptr``.
+
+    Entry ``i`` lands at ``cursor[keys[i]]`` (which then advances) as
+    ``(vals[i], w[i])``.
+    """
+    keys, key_step = _strided(keys, np.int64)
+    vals, val_step = _strided(vals, np.int64)
+    w, w_step = _strided(w, np.float64)
+    _check_fill_status(
+        lib.repro_csr_scatter(
+            keys.ctypes.data, key_step, vals.ctypes.data, val_step,
+            w.ctypes.data, w_step, keys.size, n, ptr.ctypes.data,
+            cursor.ctypes.data, out_idx.ctypes.data, out_w.ctypes.data,
+        )
+    )
+
+
+def _c_transpose(lib, n, src, dst_ptr, dst=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Scatter bucketed ``src = (ptr, idx, w)`` into ``dst_ptr``'s rows.
+
+    Row ``j`` of the result lists the buckets ``g`` holding ``j`` in
+    ascending order, ties in source order.  ``dst`` (an ``(idx, w)``
+    pair no longer needed, distinct from ``src``) receives the result
+    in place of fresh arrays.
+    """
+    src_ptr, src_idx, src_w = src
+    if dst is None:
+        dst = (
+            np.empty(src_idx.size, dtype=np.int32),
+            np.empty(src_idx.size, dtype=np.float64),
+        )
+    dst_idx, dst_w = dst
+    cursor = dst_ptr[:-1].copy()
+    _check_fill_status(
+        lib.repro_csr_transpose(
+            n, src_ptr.ctypes.data, src_idx.ctypes.data, src_w.ctypes.data,
+            dst_ptr.ctypes.data, cursor.ctypes.data, dst_idx.ctypes.data,
+            dst_w.ctypes.data,
+        )
+    )
+    return dst_idx, dst_w
+
+
+def _c_bucket_shards(lib, store, n, ptr, halves) -> Tuple[np.ndarray, np.ndarray]:
+    """First counting-sort pass: every shard's entries into ``ptr``'s buckets.
+
+    ``halves(u, v)`` lists a shard's ``(keys, vals)`` entry groups in
+    entry order.  Raises unless every bucket ends exactly full, so the
+    second pass only ever reads written cells.
+    """
+    idx = np.empty(int(ptr[-1]), dtype=np.int32)
+    data = np.empty(idx.size, dtype=np.float64)
+    cursor = ptr[:-1].copy()
+    for u, v, w in store.iter_shard_arrays():
+        if len(u) == 0:
+            continue
+        for keys, vals in halves(u, v):
+            _c_scatter(lib, n, keys, vals, w, ptr, cursor, idx, data)
+    if not np.array_equal(cursor, ptr[1:]):
+        raise _fill_error("buckets left short")
+    return idx, data
 
 
 def _snapshot_stream(cls, stream, duplicates: str):
@@ -490,16 +632,24 @@ class CSRGraph:
     def from_shards(cls, store) -> "CSRGraph":
         """Build a snapshot from a sharded edge store, one shard at a time.
 
-        Two bounded passes over the store's shards — a bincount pass
-        for per-node entry counts and weighted degrees, then a
-        counting-sort fill pass scattering each shard's entries into
-        the preallocated CSR arrays (plus a final within-row column
-        sort for bit-parity with :meth:`from_edge_arrays`) — so peak
-        memory is the O(m) CSR output plus one shard and a transient
-        sort index, never a dict graph.  The store's dense id universe
-        becomes the label space (``labels[i] == i``); parallel
-        duplicate records are kept as parallel CSR entries, which every
-        peel kernel reads additively (equivalent to the summed edge).
+        A bincount pass over the shards gives per-node entry counts and
+        weighted degrees (and validates every id); a fill then orders
+        each row by column, ties in entry order (per shard, the
+        ``u→v`` entries before the ``v→u`` ones) — the
+        ``lexsort((cols, rows))`` order, for bit-parity with
+        :meth:`from_edge_arrays`.  With the C library loaded
+        (``REPRO_NATIVE`` not ``off``), both passes run in C over the
+        shard records in place, and the fill is a stable LSD counting
+        sort in O(m + n): one pass buckets the entries by column into a
+        scratch buffer and a second walks the buckets in order and
+        scatters by row; peak memory is the CSR output plus the
+        scratch.  Otherwise numpy bincounts and a numpy fill (per-shard
+        stable argsort, then a within-row column argsort) build the
+        same arrays.  Never a dict graph.
+        The store's dense id universe becomes the label space
+        (``labels[i] == i``); parallel duplicate records are kept as
+        parallel CSR entries, which every peel kernel reads additively
+        (equivalent to the summed edge).
         """
         if store.directed:
             raise GraphError(
@@ -518,19 +668,21 @@ class CSRGraph:
             )
         counts = np.zeros(n, dtype=np.int64)
         degrees = np.zeros(n, dtype=np.float64)
-        total_weight = 0.0
-        for u, v, w in store.iter_shard_arrays():
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            _check_index_range(u, v, n)
-            counts += np.bincount(u, minlength=n)
-            counts += np.bincount(v, minlength=n)
-            degrees += np.bincount(u, weights=w, minlength=n)
-            degrees += np.bincount(v, weights=w, minlength=n)
-            total_weight += float(w.sum())
+        lib = _csr_library()
+        total_weight = _count_shards(
+            lib, store, n, lambda u, v: ((u, counts, degrees), (v, counts, degrees))
+        )
         _check_int32_entries(int(counts.sum()))
         indptr = _indptr_from_counts(n, counts)
+        if lib is not None:
+            # Symmetric: column counts equal row counts, so indptr is
+            # also the column pass's bucket pointer.
+            scratch = _c_bucket_shards(
+                lib, store, n, indptr, lambda u, v: ((v, u), (u, v))
+            )
+            indices, data = _c_transpose(lib, n, (indptr,) + scratch, indptr)
+            del scratch
+            return cls(indptr, indices, data, degrees, labels, total_weight)
         indices = np.empty(int(counts.sum()), dtype=np.int32)
         data = np.empty(indices.size, dtype=np.float64)
         cursor = indptr[:-1].astype(np.int64)
@@ -725,9 +877,14 @@ class CSRDigraph:
     def from_shards(cls, store) -> "CSRDigraph":
         """Build a directed snapshot from a sharded edge store.
 
-        Same two-pass bincount/fill structure as
-        :meth:`CSRGraph.from_shards`, run once per orientation (out-CSR
-        keyed on ``u``, in-CSR keyed on ``v``).
+        Same bincount-then-fill structure as
+        :meth:`CSRGraph.from_shards`, for both orientations (out-CSR
+        keyed on ``u`` with entries ``u→v``, in-CSR keyed on ``v`` with
+        entries ``v→u``).  The C fill needs no scratch: bucketing the
+        shards by ``v`` (the out-CSR's column pass) lays out the
+        in-CSR with each row's columns in entry order, scattering that
+        by ``u`` gives the sorted out-CSR, and scattering the out-CSR
+        back by ``v`` into the same arrays sorts the in-CSR.
         """
         if not store.directed:
             raise GraphError(
@@ -747,20 +904,34 @@ class CSRDigraph:
         in_counts = np.zeros(n, dtype=np.int64)
         out_degrees = np.zeros(n, dtype=np.float64)
         in_degrees = np.zeros(n, dtype=np.float64)
-        total_weight = 0.0
-        for u, v, w in store.iter_shard_arrays():
-            u = np.asarray(u, dtype=np.int64)
-            v = np.asarray(v, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            _check_index_range(u, v, n)
-            out_counts += np.bincount(u, minlength=n)
-            in_counts += np.bincount(v, minlength=n)
-            out_degrees += np.bincount(u, weights=w, minlength=n)
-            in_degrees += np.bincount(v, weights=w, minlength=n)
-            total_weight += float(w.sum())
+        lib = _csr_library()
+        total_weight = _count_shards(
+            lib,
+            store,
+            n,
+            lambda u, v: ((u, out_counts, out_degrees), (v, in_counts, in_degrees)),
+        )
         _check_int32_entries(int(out_counts.sum()))
         out_indptr = _indptr_from_counts(n, out_counts)
         in_indptr = _indptr_from_counts(n, in_counts)
+        if lib is not None:
+            # The out-CSR's column pass buckets by v (in_indptr), which
+            # leaves the in-CSR with its columns in entry order; the
+            # row pass then yields the sorted out-CSR, and one more
+            # pass back by v sorts the in-CSR.
+            by_v = _c_bucket_shards(lib, store, n, in_indptr, lambda u, v: ((v, u),))
+            out_indices, out_data = _c_transpose(
+                lib, n, (in_indptr,) + by_v, out_indptr
+            )
+            in_indices, in_data = _c_transpose(
+                lib, n, (out_indptr, out_indices, out_data), in_indptr, dst=by_v
+            )
+            return cls(
+                (out_indptr, out_indices, out_data, out_degrees),
+                (in_indptr, in_indices, in_data, in_degrees),
+                labels,
+                total_weight,
+            )
         m = int(out_counts.sum())
         out_indices = np.empty(m, dtype=np.int32)
         out_data = np.empty(m, dtype=np.float64)

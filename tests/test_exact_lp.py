@@ -52,3 +52,21 @@ class TestRounding:
         nodes, rho = lp_densest_subgraph(g)
         assert nodes == {"a", "b"}
         assert rho == pytest.approx(5.0)
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    # The LP modules import scipy inside the solve, so the package, its
+    # CLI and every spawned MapReduce worker start without it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -356,7 +356,7 @@ class TestBackendParity:
         from repro.errors import SolverError
 
         problem = DensestSubgraph(self._graph())
-        with pytest.raises(SolverError, match="pinned to the numpy engine"):
+        with pytest.raises(SolverError, match="supports engine= of"):
             solve(problem, backend="core-csr", engine="python")
 
     def test_streaming_backend_accepts_snapshot(self):

@@ -28,7 +28,6 @@ from repro.errors import ParameterError
 from repro.graph.directed import DirectedGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.kernels import (
-    BUCKETQ_SIZE_CUTOFF,
     ENGINES,
     NATIVE_SIZE_CUTOFF,
     auto_tier,
@@ -50,6 +49,9 @@ ABS = 1e-9
 #: present whenever numba imports or a C toolchain compiled the
 #: kernels (both feed the same engine name).
 TIERS = ["bucketq"] + (["native"] if native_backend() is not None else [])
+
+#: A graph size well past every ``auto`` cutoff.
+LARGE_GRAPH_NODES = 32768
 
 
 def random_undirected(seed, *, weighted):
@@ -246,7 +248,7 @@ class TestCompiledFallback:
         self._force_off(monkeypatch)
         try:
             assert auto_tier(NATIVE_SIZE_CUTOFF) == "numpy"
-            assert auto_tier(BUCKETQ_SIZE_CUTOFF) == "bucketq"
+            assert auto_tier(LARGE_GRAPH_NODES) == "numpy"
         finally:
             self._restore()
 
@@ -283,18 +285,18 @@ class TestTierReport:
         assert report["native_backend"] in (None, "numba", "c")
         ladder = report["auto_ladder"]
         assert ladder["native_cutoff"] == NATIVE_SIZE_CUTOFF
-        assert ladder["bucketq_cutoff"] == BUCKETQ_SIZE_CUTOFF
+        assert "bucketq_cutoff" not in ladder
 
     def test_report_auto_pick(self):
         small = tier_report(num_nodes=10)
         assert small["auto_pick"] == "numpy"
-        big = tier_report(num_nodes=BUCKETQ_SIZE_CUTOFF)
-        assert big["auto_pick"] == auto_tier(BUCKETQ_SIZE_CUTOFF)
+        big = tier_report(num_nodes=LARGE_GRAPH_NODES)
+        assert big["auto_pick"] == auto_tier(LARGE_GRAPH_NODES)
 
     def test_auto_ladder_by_size(self):
         assert auto_tier(10) == "numpy"
-        expected_big = "native" if native_backend() is not None else "bucketq"
-        assert auto_tier(BUCKETQ_SIZE_CUTOFF) == expected_big
+        expected_big = "native" if native_backend() is not None else "numpy"
+        assert auto_tier(LARGE_GRAPH_NODES) == expected_big
 
     def test_engines_tuple_is_public_contract(self):
         assert ENGINES == ("auto", "python", "numpy", "bucketq", "native", "numba")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -229,6 +231,37 @@ class TestSolveFlow:
         )
         status, stats = client.get("/stats")
         assert stats["hits"] == 1 and stats["results"] == 1
+
+    def test_keep_alive_warm_hits_do_not_stall(self, server):
+        # Headers and body leave in separate writes; without TCP_NODELAY
+        # the body waits on the client's delayed ACK (~40 ms a hit).
+        client = Client(server)
+        _register_synthetic(client)
+        body = {
+            "dataset": "g",
+            "problem": {"kind": "densest_subgraph", "epsilon": 0.1},
+            "wait": 60,
+        }
+        status, _ = client.post("/solve", body)
+        assert status == 200
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        payload = json.dumps(body).encode()
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/solve", body=payload,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                warm = json.loads(resp.read())
+                latencies.append(time.perf_counter() - start)
+                assert resp.status == 200 and warm["cached"] is True
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
     def test_job_polling_flow(self, server):
         client = Client(server)
