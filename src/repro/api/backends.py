@@ -207,19 +207,19 @@ def _require_graph(
     Backends built on the dict-of-dict graph API get CSR snapshots
     materialized back into graph objects (``allow_csr=False``); the
     engine-aware core backends take snapshots as-is.  Backends
-    declaring the shard input mode (``allow_shards=True``) get stores
-    loaded into CSR snapshots via the per-shard bincount builders — no
-    dict graph is ever materialized on that path.
+    declaring the shard input mode (``allow_shards=True``) get the
+    store's :meth:`~repro.store.ShardedEdgeStore.snapshot`: built by
+    ``from_shards`` on the store object's first solve and reused by
+    every later solve that holds the same object (sweeps, a served
+    dataset's cold misses) — no dict graph is ever materialized on
+    that path.
     """
     if problem.input_mode == MODE_SHARDS:
         if not allow_shards:
             raise SolverError(
                 f"backend {backend!r} does not accept shard-store input"
             )
-        store = problem.input
-        if store.directed:
-            return CSRDigraph.from_shards(store)
-        return CSRGraph.from_shards(store)
+        return problem.input.snapshot()
     if problem.input_mode != MODE_GRAPH:
         raise SolverError(f"backend {backend!r} needs an in-memory graph input")
     graph = problem.input
@@ -352,9 +352,11 @@ class CoreCSRSolver(CoreSolver):
     exotic-label graphs that ``core`` would peel in Python.
     ``engine="numpy"`` pins the numpy tier.  Prefers CSR snapshot
     inputs, which skip the per-solve conversion entirely; plain graphs
-    are snapshotted on entry, and shard stores are loaded through
-    ``CSRGraph.from_shards`` (an O(m) counting-sort build, no dict
-    graph).
+    are snapshotted on entry, and shard stores solve on
+    :meth:`~repro.store.ShardedEdgeStore.snapshot` — one
+    ``from_shards`` build (an O(m) counting sort, no dict graph) per
+    store object, so a repeat solve on the same object pays only the
+    peel.
     """
 
     name = "core-csr"

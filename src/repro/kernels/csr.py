@@ -713,6 +713,13 @@ class CSRGraph:
         """Number of distinct undirected edges."""
         return int(self.indices.size) // 2
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the CSR and degree arrays (labels excluded)."""
+        return sum(
+            a.nbytes for a in (self.indptr, self.indices, self.weights, self.degrees)
+        )
+
     def nodes(self) -> Iterable[Node]:
         """Iterate over node labels (graph-protocol compatibility)."""
         return iter(self.labels)
@@ -974,6 +981,17 @@ class CSRDigraph:
     def num_edges(self) -> int:
         """Number of distinct directed edges."""
         return int(self.out_indices.size)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by both orientations' arrays (labels excluded)."""
+        return sum(
+            a.nbytes
+            for a in (
+                self.out_indptr, self.out_indices, self.out_weights, self.out_degrees,
+                self.in_indptr, self.in_indices, self.in_weights, self.in_degrees,
+            )
+        )
 
     def nodes(self) -> Iterable[Node]:
         """Iterate over node labels (graph-protocol compatibility)."""

@@ -196,16 +196,19 @@ class DensestService:
         from ..store import ShardedEdgeStore
 
         store = ShardedEdgeStore.open(path)
-        record = ServedDataset(
+        return self._store_record(name, store, "store"), store
+
+    @staticmethod
+    def _store_record(name: str, store, input_kind: str) -> ServedDataset:
+        return ServedDataset(
             name=name,
             fingerprint=store.fingerprint(),
             source=str(store.path),
-            input_kind="store",
+            input_kind=input_kind,
             directed=store.directed,
             num_nodes=store.num_nodes,
             num_edges=store.num_edges,
         )
-        return record, store
 
     def _register_edge_list(
         self, name: str, path: str, directed: bool
@@ -231,9 +234,7 @@ class DensestService:
                 directed=directed,
                 num_shards=self.context.shard_count,
             )
-        record, _ = self._register_store(name, store_dir)
-        record = ServedDataset(**{**record.to_jsonable(), "input_kind": "edge_list"})
-        return record, store
+        return self._store_record(name, store, "edge_list"), store
 
     def _register_synthetic(
         self, name: str, dataset: str, scale: float, seed: Optional[int]
@@ -256,7 +257,12 @@ class DensestService:
         return record, graph
 
     def _resolve_input(self, record: ServedDataset) -> Any:
-        """The live input object for a dataset record (lazily reopened)."""
+        """The live input object for a dataset record (lazily reopened).
+
+        One object per dataset: racing first resolutions all return the
+        object that won the insert, so a store's CSR snapshot is built
+        once however many cold solves hold it.
+        """
         with self._inputs_lock:
             cached = self._inputs.get(record.fingerprint)
         if cached is not None:
@@ -272,8 +278,7 @@ class DensestService:
                 seed=record.seed,
             )
         with self._inputs_lock:
-            self._inputs.setdefault(record.fingerprint, input_obj)
-        return input_obj
+            return self._inputs.setdefault(record.fingerprint, input_obj)
 
     # -- solving -------------------------------------------------------
     def _build_problem(self, record: ServedDataset, spec: Dict[str, Any]) -> Problem:
@@ -648,6 +653,16 @@ class DensestService:
         admission["overload_enabled"] = self.overload.enabled
         payload["admission"] = admission
         payload["uptime_seconds"] = time.time() - self.started_at
+        # A served store holds its CSR snapshot after its first
+        # in-memory solve: ``held`` counts the datasets whose next cold
+        # miss skips the build, ``nbytes`` the memory that costs.
+        with self._inputs_lock:
+            inputs = list(self._inputs.values())
+        held = [getattr(obj, "held_snapshot", None) for obj in inputs]
+        held = [snap for snap in held if snap is not None]
+        payload["snapshots"] = {
+            "held": len(held), "nbytes": sum(snap.nbytes for snap in held),
+        }
         try:
             from ..kernels import tier_report
 

@@ -39,6 +39,17 @@ Crash safety
   shards into a ``quarantine/`` subdirectory and marks them in the
   manifest so later reads fail with a clear typed error.
 
+CSR snapshot
+------------
+:meth:`ShardedEdgeStore.snapshot` builds the store's
+``CSRGraph``/``CSRDigraph`` on first use and holds it on the instance,
+so every in-memory solve through the same store object (an ε or k
+sweep, a served dataset's cold misses) pays one build.  The scope is
+the instance, like the shard verification above: a fresh
+:meth:`ShardedEdgeStore.open` builds its own, a failed build caches
+nothing, and :meth:`ShardedEdgeStore.repair` drops the snapshot when
+it quarantines a shard.
+
 Invariants
 ----------
 * Node ids are dense non-negative int64 indices in ``[0, num_nodes)``;
@@ -90,6 +101,7 @@ import base64
 import json
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from itertools import islice
@@ -928,6 +940,20 @@ class ShardedEdgeStore:
         # first memmap open of each).  A writer that just produced the
         # bytes hands back a fully-trusted reader.
         self._verified = set(range(manifest.num_shards)) if _trusted else set()
+        self._snapshot = None
+        self._snapshot_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # The held snapshot and its lock are per-process state: a
+        # pickled store (a process-pool task, say) rebuilds on demand.
+        state = self.__dict__.copy()
+        del state["_snapshot"], state["_snapshot_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._snapshot = None
+        self._snapshot_lock = threading.Lock()
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -1154,7 +1180,40 @@ class ShardedEdgeStore:
         _atomic_write_text(
             self.path / MANIFEST_NAME, self.manifest.to_json() + "\n"
         )
+        with self._snapshot_lock:  # the next solve re-reads, and fails
+            self._snapshot = None
         return report
+
+    # -- CSR snapshot --------------------------------------------------
+    def snapshot(self):
+        """The store's CSR snapshot, built on first use and then held.
+
+        Returns ``CSRDigraph.from_shards(self)`` for a directed store
+        and ``CSRGraph.from_shards(self)`` otherwise.  The first call
+        builds it; later calls on this instance return the same object
+        (the snapshot is immutable and every peel copies what it
+        mutates).  Concurrent first callers share one build.  A build
+        that raises (:class:`StoreCorruptionError`, say) caches
+        nothing, and :meth:`repair` drops a held snapshot.  The scope
+        is this instance, not the path: another :meth:`open` of the
+        same directory builds its own, and the snapshot is not part of
+        the pickled state.
+        """
+        snap = self._snapshot
+        if snap is not None:
+            return snap
+        with self._snapshot_lock:
+            if self._snapshot is None:
+                from ..kernels.csr import CSRDigraph, CSRGraph
+
+                cls = CSRDigraph if self.directed else CSRGraph
+                self._snapshot = cls.from_shards(self)
+            return self._snapshot
+
+    @property
+    def held_snapshot(self):
+        """The snapshot :meth:`snapshot` holds, or None (never builds)."""
+        return self._snapshot
 
     # -- readers -------------------------------------------------------
     def shard_path(self, shard: int) -> Path:

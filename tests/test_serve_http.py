@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import repro.serve.app as app_module
+from repro.api import DensestSubgraph, solve
+from repro.kernels.csr import CSRGraph
 from repro.serve import DensestService, HTTPError, build_server
 from repro.serve.catalog import ResultCatalog
 from repro.store import ShardedEdgeStore
@@ -107,6 +109,7 @@ class TestRoutes:
         assert status == 200
         assert payload["results"] == 0
         assert payload["queue"]["workers"] == 2
+        assert payload["snapshots"] == {"held": 0, "nbytes": 0}
 
     def test_dataset_registration_and_listing(self, server):
         client = Client(server)
@@ -442,3 +445,110 @@ class TestServiceBackpressure:
             gate.set()
             for job in blockers:
                 job.wait(10)
+
+
+# ----------------------------------------------------------------------
+# one store object, one CSR snapshot per served dataset
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, cls, name):
+    """Spy on classmethod ``cls.name``; returns the list of call args."""
+    calls = []
+    func = cls.__dict__[name].__func__
+
+    def counted(klass, *args, **kwargs):
+        calls.append(args)
+        return func(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, classmethod(counted))
+    return calls
+
+
+class TestSnapshotReuse:
+    def test_cold_misses_share_one_build(self, server, tmp_path, monkeypatch):
+        client = Client(server)
+        path = _store_dir(tmp_path, n=200, m=1600)
+        status, _ = client.post("/datasets", {"name": "st", "store": str(path)})
+        assert status == 201
+        builds = _count_calls(monkeypatch, CSRGraph, "from_shards")
+        payloads = {}
+        for eps in (0.1, 0.4, 0.9):
+            status, payloads[eps] = client.post(
+                "/solve",
+                {
+                    "dataset": "st",
+                    "problem": {"kind": "densest_subgraph", "epsilon": eps},
+                    "wait": 60,
+                },
+            )
+            assert status == 200 and payloads[eps]["cached"] is False
+        assert len(builds) == 1
+        status, stats = client.get("/stats")
+        served = server.service._resolve_input(
+            server.service.catalog.get_dataset("st")
+        )
+        assert stats["snapshots"] == {
+            "held": 1, "nbytes": served.held_snapshot.nbytes,
+        }
+        for eps, payload in payloads.items():
+            offline = solve(
+                DensestSubgraph(ShardedEdgeStore.open(path), epsilon=eps)
+            )
+            assert payload["solved_backend"] == offline.backend
+            row = server.service.catalog.get(payload["key"])
+            assert row["solution_json"] == offline.to_json()
+
+    def test_racing_first_resolutions_get_one_store(self, tmp_path, monkeypatch):
+        path = _store_dir(tmp_path)
+        catalog_path = tmp_path / "c.sqlite"
+        first = DensestService(ResultCatalog(catalog_path))
+        try:
+            record = first.register_dataset({"name": "st", "store": str(path)})
+        finally:
+            first.close()
+        # A restarted service knows the record but holds no input yet.
+        service = DensestService(ResultCatalog(catalog_path))
+        barrier = threading.Barrier(2)
+        opened = ShardedEdgeStore.__dict__["open"].__func__
+
+        def racing_open(klass, where):
+            store = opened(klass, where)
+            barrier.wait(10)  # both threads opened before either inserts
+            return store
+
+        monkeypatch.setattr(ShardedEdgeStore, "open", classmethod(racing_open))
+        got = [None, None]
+
+        def resolve(i):
+            got[i] = service._resolve_input(record)
+
+        threads = [threading.Thread(target=resolve, args=(i,)) for i in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert got[0] is not None and got[0] is got[1]
+            assert service._resolve_input(record) is got[0]
+        finally:
+            service.close()
+
+    def test_edge_list_registration_opens_the_store_once(
+        self, tmp_path, monkeypatch
+    ):
+        edge_list = tmp_path / "edges.txt"
+        edge_list.write_text("0 1\n1 2\n2 0\n0 3\n")
+        service = DensestService(
+            ResultCatalog(tmp_path / "c.sqlite"),
+            context=app_module.ExecutionContext(spill_dir=str(tmp_path / "spill")),
+        )
+        opens = _count_calls(monkeypatch, ShardedEdgeStore, "open")
+        try:
+            for expected in (1, 2):  # convert, then reopen the converted store
+                record = service.register_dataset(
+                    {"name": "el", "edge_list": str(edge_list)}
+                )
+                assert len(opens) == expected
+            served = service._resolve_input(record)
+            assert served.manifest.fingerprint == record.fingerprint
+        finally:
+            service.close()
