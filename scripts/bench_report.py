@@ -45,7 +45,7 @@ Three suites, selected with ``--suite``:
   hardware-independent measure and what the wall ratio approaches when
   rescans are genuinely disk-bound.  Gate CI on bytes, not wall.
 * ``kernels`` times the kernel tier ladder and writes
-  ``BENCH_kernels.json``: numpy vs bucketq vs native (numba/C) peels on
+  ``BENCH_kernels.json``: numpy vs native (compiled C) peels on
   the BENCH_core fixtures and on the ≈18M-edge nested-core store
   (CSR-loaded; wall-clock, not a bytes proxy), the store's CSR build
   (numpy fill vs the C counting sort, bit-identical), plus one threaded
@@ -942,7 +942,7 @@ def run_faults_benches(scale_factor: float, repeats: int):
 
 
 def run_kernels_benches(scale_factor: float, repeats: int):
-    """Kernel tier ladder: numpy vs bucketq vs native peels.
+    """Kernel tier ladder: numpy vs native peels.
 
     Three regimes, all on the BENCH_core peel fixtures (flickr_sim /
     livejournal_sim CSR snapshots) plus the big shard store:
@@ -955,7 +955,7 @@ def run_kernels_benches(scale_factor: float, repeats: int):
     * **Deep peels** (eps 0.02–0.05 at-least-k, 48–160+ passes — the
       paper's high-accuracy regime, where small epsilon buys a tight
       approximation at the cost of many passes): the numpy engine
-      rescans all m edges every pass while the bucket queue does O(m)
+      rescans all m edges every pass while the C bucket queue does O(m)
       total work, so the gap widens with pass count.  These are the
       rows ``--min-speedup`` gates (target ≥5x).
     * The ≈18M-edge nested-core shard store: loaded once through
@@ -972,10 +972,10 @@ def run_kernels_benches(scale_factor: float, repeats: int):
       report) no thread win is physically possible.
 
     Every tier-bench row (shallow and deep) first asserts identical
-    node sets, pass counts, and densities across all importable tiers.
-    ``speedup`` (numpy-median / native-median) appears on native rows
-    only — that is what ``--min-speedup`` gates — bucketq rows carry
-    an informational ``speedup_vs_numpy``.
+    node sets, pass counts, and densities across numpy and native.
+    ``speedup`` (numpy-median / native-median) on the native rows is
+    what ``--min-speedup`` gates.  Without the C library only the
+    numpy rows are written.
     """
     import os
     import tempfile
@@ -990,8 +990,8 @@ def run_kernels_benches(scale_factor: float, repeats: int):
 
     records: list = []
     backend = native_backend()
-    tiers = ["bucketq"] + (["native"] if backend is not None else [])
-    print(f"kernel tiers: numpy, {', '.join(tiers)} "
+    tiers = ["native"] if backend is not None else []
+    print(f"kernel tiers: {', '.join(['numpy'] + tiers)} "
           f"(native backend: {backend or 'none'})")
 
     flickr = load("flickr_sim", scale=0.25 * scale_factor)
@@ -1040,10 +1040,7 @@ def run_kernels_benches(scale_factor: float, repeats: int):
             ratio = (
                 medians["numpy"] / medians[tier] if medians[tier] > 0 else None
             )
-            if tier == "native":
-                row["speedup"] = ratio
-            else:
-                row["speedup_vs_numpy"] = ratio
+            row["speedup"] = ratio
             records.append(row)
             parts.append(f"{tier} {medians[tier] * 1e3:9.3f} ms x{ratio:5.2f}")
         print(f"{name:28s} " + "   ".join(parts))

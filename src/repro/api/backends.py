@@ -36,16 +36,10 @@ from ..core.result import (
 )
 from ..errors import SolverError
 
-try:  # CSR snapshots are valid graph-mode inputs when numpy is present.
-    from ..kernels import CSRDigraph, CSRGraph
-except ImportError:  # pragma: no cover - numpy-less installs
-    CSRDigraph = CSRGraph = None
-try:  # shard stores are the out-of-core input mode (need numpy too).
-    from ..store.shards import ShardedEdgeStore
-except ImportError:  # pragma: no cover - numpy-less installs
-    ShardedEdgeStore = None
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
+from ..kernels import CSRDigraph, CSRGraph
+from ..store.shards import ShardedEdgeStore
 from ..streaming.memory import MemoryAccountant
 from ..streaming.stream import (
     DirectedGraphEdgeStream,
@@ -224,9 +218,9 @@ def _require_graph(
         raise SolverError(f"backend {backend!r} needs an in-memory graph input")
     graph = problem.input
     if not allow_csr:
-        if CSRGraph is not None and isinstance(graph, CSRGraph):
+        if isinstance(graph, CSRGraph):
             return graph.to_undirected()
-        if CSRDigraph is not None and isinstance(graph, CSRDigraph):
+        if isinstance(graph, CSRDigraph):
             return graph.to_directed()
     return graph
 
@@ -249,8 +243,8 @@ class CoreSolver:
     Accepts an ``engine=`` option (any name in
     :data:`repro.kernels.ENGINES`), forwarded to the core peels;
     ``"auto"`` (the default) lets :func:`repro.kernels.resolve_engine`
-    pick per graph.  ``"native"``/``"numba"`` request the compiled
-    backend and degrade (with a warning) to the best importable tier.
+    pick per graph.  ``"native"`` requests the compiled C tier and
+    degrades (with a warning) to numpy when the library is absent.
     """
 
     name = "core"
@@ -264,14 +258,9 @@ class CoreSolver:
             exact=False,
             memory_class=MEM_EDGES,
             semantics="batch-peel",
-            # Advertise only the engines that can actually run here;
-            # "native"/"numba" resolve (possibly with a fallback
-            # warning) whenever the numpy tier exists underneath them.
-            engines=(
-                ("python", "numpy", "bucketq", "native", "numba")
-                if CSRGraph is not None
-                else ("python",)
-            ),
+            # "native" resolves (with a fallback warning) to numpy
+            # when the C library is absent.
+            engines=("python", "numpy", "native"),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
@@ -386,8 +375,7 @@ class CoreCSRSolver(CoreSolver):
         return engine
 
 
-if CSRGraph is not None:  # the CSR kernels need numpy
-    register(CoreCSRSolver)
+register(CoreCSRSolver)
 
 
 # ----------------------------------------------------------------------
@@ -403,11 +391,9 @@ def _as_stream(problem: Problem) -> EdgeStream:
     """
     if isinstance(problem.input, EdgeStream):
         return problem.input
-    if ShardedEdgeStore is not None and isinstance(problem.input, ShardedEdgeStore):
+    if isinstance(problem.input, ShardedEdgeStore):
         return ShardEdgeStream(problem.input)
-    if isinstance(problem.input, DirectedGraph) or (
-        CSRDigraph is not None and isinstance(problem.input, CSRDigraph)
-    ):
+    if isinstance(problem.input, (DirectedGraph, CSRDigraph)):
         return DirectedGraphEdgeStream(problem.input)
     return GraphEdgeStream(problem.input)
 
@@ -614,7 +600,7 @@ class SketchSolver:
             exact=False,
             memory_class=MEM_SKETCH,
             semantics="sketch-peel",
-            engines=("python", "numpy") if CSRGraph is not None else ("python",),
+            engines=("python", "numpy"),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:
@@ -692,7 +678,7 @@ class MapReduceSolver:
             exact=False,
             memory_class=MEM_EDGES,
             semantics="batch-peel",
-            engines=("python", "numpy") if CSRGraph is not None else ("python",),
+            engines=("python", "numpy"),
         )
 
     def estimated_memory_words(self, problem: Problem) -> Optional[int]:

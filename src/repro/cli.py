@@ -113,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="also report the kernel tier ladder: which peel engines "
-        "(python/numpy/bucketq/native) are importable here, which "
-        "compiled backend (numba or C) serves the native tier, and the "
-        "input sizes at which engine=auto switches tiers",
+        "(python/numpy/native) are available here, whether the C library "
+        "behind the native tier loaded, and the input sizes at which "
+        "engine=auto switches tiers",
     )
 
     p_solve = sub.add_parser(
@@ -131,14 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--engine",
-        choices=["auto", "python", "numpy", "bucketq", "native", "numba"],
+        choices=["auto", "python", "numpy", "native"],
         default="auto",
         help="execution engine for the core/mapreduce/sketch backends: "
         "'python' (interpreted record loops), 'numpy' (vectorized kernels / "
-        "columnar MapReduce batches), 'bucketq' (incremental bucket-queue "
-        "peel), 'native'/'numba' (compiled bucket-queue kernels, degrading "
-        "to the best importable tier), or 'auto' (pick per graph; see "
-        "`repro-densest backends --verbose`)",
+        "columnar MapReduce batches), 'native' (compiled C bucket-list "
+        "peel, falling back to numpy without a C toolchain), or 'auto' "
+        "(pick per graph; see `repro-densest backends --verbose`)",
     )
     p_solve.add_argument("--epsilon", type=float, default=0.5)
     p_solve.add_argument(
@@ -408,7 +407,7 @@ def _load_any(args) -> Union[UndirectedGraph, DirectedGraph]:
     """
     directed = getattr(args, "directed", False)
     wants_csr = (
-        getattr(args, "engine", "auto") in ("numpy", "bucketq", "native", "numba")
+        getattr(args, "engine", "auto") in ("numpy", "native")
         or getattr(args, "backend", None) == "core-csr"
     )
     if getattr(args, "shard_store", None):
@@ -432,15 +431,12 @@ def _load_any(args) -> Union[UndirectedGraph, DirectedGraph]:
             num_shards=args.shards,
         )
     if wants_csr:
-        try:
-            from .graph.io import read_edge_arrays
-            from .kernels import CSRDigraph, CSRGraph
-        except ImportError:
-            pass  # numpy unavailable: fall through to the dict readers
-        else:
-            src, dst, weights = read_edge_arrays(args.edge_list)
-            cls = CSRDigraph if directed else CSRGraph
-            return cls.from_edge_arrays(src, dst, weights, duplicates="first")
+        from .graph.io import read_edge_arrays
+        from .kernels import CSRDigraph, CSRGraph
+
+        src, dst, weights = read_edge_arrays(args.edge_list)
+        cls = CSRDigraph if directed else CSRGraph
+        return cls.from_edge_arrays(src, dst, weights, duplicates="first")
     if directed:
         return read_directed(args.edge_list)
     return read_undirected(args.edge_list)
@@ -507,17 +503,17 @@ def _cmd_backends(args) -> int:
 
         report = tier_report()
         print()
-        print("kernel tiers (peel engines importable in this environment):")
-        for tier in ("python", "numpy", "bucketq", "native"):
+        print("kernel tiers (peel engines available in this environment):")
+        for tier in ("python", "numpy", "native"):
             status = "yes" if report[tier] else "no"
-            if tier == "native" and report[tier]:
-                status = f"yes ({report['native_backend']} backend)"
+            if tier == "native":
+                status = "yes (C library)" if report[tier] else "no (runs as numpy)"
             print(f"  {tier:<8} {status}")
         ladder = report["auto_ladder"]
         print("engine=auto ladder (CSR/int-labeled graphs, by node count):")
         print(
             f"  n >= {ladder['native_cutoff']}: native"
-            "  (when a compiled backend is importable)"
+            "  (when the C library loads)"
         )
         print("  otherwise: numpy")
     return 0
@@ -526,11 +522,9 @@ def _cmd_backends(args) -> int:
 def _is_directed_input(graph) -> bool:
     if isinstance(graph, DirectedGraph):
         return True
-    try:
-        from .kernels import CSRDigraph
-        from .store import ShardedEdgeStore
-    except ImportError:
-        return False
+    from .kernels import CSRDigraph
+    from .store import ShardedEdgeStore
+
     if isinstance(graph, ShardedEdgeStore):
         return graph.directed
     return isinstance(graph, CSRDigraph)

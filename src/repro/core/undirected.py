@@ -19,8 +19,8 @@ Two interchangeable execution engines implement the loop:
   (:func:`repro.kernels.peel.peel_undirected`), same node sets and
   traces, several times faster at evaluation scales;
 * ``engine="auto"`` (default) — :func:`repro.kernels.resolve_engine`
-  picks numpy for int-labeled or large graphs and falls back to the
-  Python loop when numpy is unavailable.
+  picks the vectorized kernels for int-labeled or large graphs and the
+  Python loop for small graphs with exotic labels.
 
 Weighted graphs are handled transparently by using weighted degrees and
 edge weights throughout, which is the generalization Lemma 6 relies on.

@@ -9,24 +9,15 @@ algorithms, arranged as a tier ladder:
 ``numpy``
     Per-pass vectorized kernels (:mod:`repro.kernels.peel`) over CSR
     snapshots (:mod:`repro.kernels.csr`).
-``bucketq``
-    Incremental bucket-queue peeler (:mod:`repro.kernels.bucketq`):
-    O(m + n) total work with no per-pass rescans, pure numpy.
 ``native``
-    The bucket-queue algorithm compiled — numba ``@njit`` kernels when
-    numba is importable, else a ctypes-loaded C library built with the
-    system toolchain (:mod:`repro.kernels.native`).  ``numba`` is
-    accepted as an engine alias that *requests* the numba backend
-    specifically and warns when it degrades.
+    An incremental bucket-list peel compiled from ``peel_kernels.c``
+    with the system toolchain and called through ctypes
+    (:mod:`repro.kernels.native`).  Without a compiler it falls back to
+    the numpy tier.
 
 All tiers return identical node sets, traces, and pass counts;
-``engine="auto"`` walks the ladder by input size (compiled > numpy >
-python).  The pure-numpy bucket queue loses to the numpy tier on every
-``BENCH_kernels.json`` row, so ``auto`` never picks it; it stays
-selectable by name.  NumPy is a hard dependency of the package, but every
-import of this layer from the algorithm modules is guarded so a
-stripped environment degrades to the pure-Python engine instead of
-failing at import time.
+``engine="auto"`` walks the ladder by input size (native > numpy >
+python).
 """
 
 from __future__ import annotations
@@ -35,32 +26,21 @@ import warnings
 from typing import Dict, Optional
 
 from ..errors import ParameterError
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-if HAVE_NUMPY:
-    from .csr import CSRDigraph, CSRGraph
-    from .peel import (
-        DirectedPeelOutcome,
-        PeelOutcome,
-        peel_atleast_k,
-        peel_directed,
-        peel_directed_sweep,
-        peel_undirected,
-    )
+from .csr import CSRDigraph, CSRGraph
+from .peel import (
+    DirectedPeelOutcome,
+    PeelOutcome,
+    peel_atleast_k,
+    peel_directed,
+    peel_directed_sweep,
+    peel_undirected,
+)
 
 #: Engine names accepted by the ``engine=`` parameter of the core peels.
-#: ``numba`` is an alias for ``native`` that insists on the numba
-#: backend (falling back with a warning when it is not importable).
-ENGINES = ("auto", "python", "numpy", "bucketq", "native", "numba")
+ENGINES = ("auto", "python", "numpy", "native")
 
 #: The tiers an ``engine=`` argument can resolve to.
-RESOLVED_TIERS = ("python", "numpy", "bucketq", "native")
+RESOLVED_TIERS = ("python", "numpy", "native")
 
 #: ``engine="auto"`` switches to the vectorized kernels at this node
 #: count even for graphs with non-integer labels (the O(n) label
@@ -81,13 +61,11 @@ def _is_int_labeled(graph) -> bool:
 
 
 def native_backend() -> Optional[str]:
-    """Name of the compiled backend (``"numba"``/``"c"``), or None.
+    """``"c"`` when the compiled tier loads, else None.
 
-    The first call probes (importing numba or compiling the C library);
+    The first call probes (compiling the C library on a cold cache);
     the result is memoized by :mod:`repro.kernels.native`.
     """
-    if not HAVE_NUMPY:
-        return None
     from . import native
 
     return native.available_backend()
@@ -95,9 +73,7 @@ def native_backend() -> Optional[str]:
 
 def auto_tier(num_nodes: int) -> str:
     """The tier ``engine="auto"`` picks for an int-labeled input of
-    ``num_nodes`` nodes (assuming numpy is importable)."""
-    if not HAVE_NUMPY:
-        return "python"
+    ``num_nodes`` nodes."""
     if num_nodes >= NATIVE_SIZE_CUTOFF and native_backend() is not None:
         return "native"
     return "numpy"
@@ -113,8 +89,7 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
     backend = native_backend()
     report: Dict[str, object] = {
         "python": True,
-        "numpy": HAVE_NUMPY,
-        "bucketq": HAVE_NUMPY,
+        "numpy": True,
         "native": backend is not None,
         "native_backend": backend,
         "auto_ladder": {
@@ -128,7 +103,7 @@ def tier_report(num_nodes: Optional[int] = None) -> Dict[str, object]:
 
 
 def peel_functions(tier: str):
-    """The kernel module implementing ``tier`` (numpy/bucketq/native).
+    """The kernel module implementing ``tier`` (numpy/native).
 
     The returned module exposes ``peel_undirected`` / ``peel_atleast_k``
     / ``peel_directed`` / ``peel_directed_sweep`` with identical
@@ -137,8 +112,6 @@ def peel_functions(tier: str):
     """
     if tier == "numpy":
         from . import peel as mod
-    elif tier == "bucketq":
-        from . import bucketq as mod
     elif tier == "native":
         from . import native as mod
     else:
@@ -149,66 +122,39 @@ def peel_functions(tier: str):
 def resolve_engine(engine: str, graph=None) -> str:
     """Resolve an ``engine=`` argument to one of :data:`RESOLVED_TIERS`.
 
-    ``"auto"`` picks a vectorized tier when numpy is importable and the
-    graph is int-labeled, already a CSR snapshot, or at least
-    :data:`AUTO_SIZE_CUTOFF` nodes — then walks the ladder by size
-    (compiled ≥ :data:`NATIVE_SIZE_CUTOFF` when a compiled backend
-    loads, numpy otherwise).  Small exotic-label
+    ``"auto"`` picks a vectorized tier when the graph is int-labeled,
+    already a CSR snapshot, or at least :data:`AUTO_SIZE_CUTOFF` nodes —
+    then walks the ladder by size (native ≥ :data:`NATIVE_SIZE_CUTOFF`
+    when the C library loads, numpy otherwise).  Small exotic-label
     graphs stay on the Python loops, where the per-pass constant is
     lower.
 
-    ``"native"`` / ``"numba"`` degrade gracefully: when the compiled
-    backend (or numba specifically) is unavailable they fall back to
-    the bucket-queue tier with a :class:`RuntimeWarning` instead of
-    raising — the answer is identical, only the speed differs.
+    ``"native"`` degrades gracefully: when the C library is unavailable
+    it falls back to the numpy tier with a :class:`RuntimeWarning`
+    instead of raising — the answer is identical, only the speed
+    differs.
 
     Raises
     ------
     ParameterError
-        On an unknown engine name, or ``engine="numpy"``/``"bucketq"``
-        without numpy.
+        On an unknown engine name.
     """
     if engine not in ENGINES:
         raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "python":
-        return "python"
-    if engine in ("numpy", "bucketq"):
-        if not HAVE_NUMPY:
-            raise ParameterError(
-                f"engine={engine!r} requires numpy, which is not importable; "
-                "use engine='python'"
-            )
+    if engine in ("python", "numpy"):
         return engine
-    if engine in ("native", "numba"):
-        if not HAVE_NUMPY:
+    if engine == "native":
+        if native_backend() is None:
             warnings.warn(
-                f"engine={engine!r} requires numpy, which is not importable; "
-                "falling back to the python engine",
+                "engine='native' requested but the C library is not "
+                "available (REPRO_NATIVE=off or no C toolchain); falling "
+                "back to the numpy tier",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return "python"
-        backend = native_backend()
-        if backend is None:
-            warnings.warn(
-                f"engine={engine!r} requested but no compiled backend is "
-                "available (numba not importable, no C toolchain); falling "
-                "back to the bucketq tier",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "bucketq"
-        if engine == "numba" and backend != "numba":
-            warnings.warn(
-                "engine='numba' requested but numba is not importable; "
-                "using the compiled C backend instead",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            return "numpy"
         return "native"
     # engine == "auto"
-    if not HAVE_NUMPY:
-        return "python"
     if graph is None:
         return "numpy"
     if isinstance(graph, (CSRGraph, CSRDigraph)):
@@ -220,24 +166,20 @@ def resolve_engine(engine: str, graph=None) -> str:
 
 __all__ = [
     "AUTO_SIZE_CUTOFF",
+    "CSRDigraph",
+    "CSRGraph",
+    "DirectedPeelOutcome",
     "ENGINES",
-    "HAVE_NUMPY",
     "NATIVE_SIZE_CUTOFF",
+    "PeelOutcome",
     "RESOLVED_TIERS",
     "auto_tier",
     "native_backend",
+    "peel_atleast_k",
+    "peel_directed",
+    "peel_directed_sweep",
     "peel_functions",
+    "peel_undirected",
     "resolve_engine",
     "tier_report",
 ]
-if HAVE_NUMPY:
-    __all__ += [
-        "CSRDigraph",
-        "CSRGraph",
-        "DirectedPeelOutcome",
-        "PeelOutcome",
-        "peel_atleast_k",
-        "peel_directed",
-        "peel_directed_sweep",
-        "peel_undirected",
-    ]

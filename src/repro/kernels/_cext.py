@@ -1,8 +1,7 @@
 """Build-and-load glue for the C kernel library.
 
-``peel_kernels.c`` holds the C backend of the compiled peel tier (the
-other, interchangeable backend is numba) and the count and scatter
-passes of the O(m) CSR build from shard stores
+``peel_kernels.c`` holds the compiled peel tier and the count and
+scatter passes of the O(m) CSR build from shard stores
 (:mod:`repro.kernels.csr`).
 ``load()`` compiles it with ``$CC``/``cc``/``gcc``/``clang`` into a
 per-user cache directory (keyed by a hash of the source, so edits
@@ -10,7 +9,7 @@ invalidate stale builds) and returns a :class:`ctypes.CDLL` with the
 three peel entry points and the three CSR-build entry points declared.
 Any failure — no compiler, a compile error, a load error — raises;
 :mod:`repro.kernels.native` catches it, so the peels fall back to the
-pure-numpy bucket queue and the CSR build to its numpy fill.
+numpy kernels and the CSR build to its numpy fill.
 
 Environment knobs:
 

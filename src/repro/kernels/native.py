@@ -1,212 +1,98 @@
-"""The compiled peeling tier: numba or C under a common wrapper.
+"""The compiled peeling tier: ``peel_kernels.c`` called through ctypes.
 
 This module exposes the same four entry points as
-:mod:`repro.kernels.bucketq` (``peel_undirected`` / ``peel_atleast_k``
-/ ``peel_directed`` / ``peel_directed_sweep``) backed by whichever
-compiled backend is available:
-
-* **numba** — ``@njit(cache=True)`` kernels in
-  :mod:`repro.kernels._numba_peel` (preferred when importable);
-* **c** — ``peel_kernels.c`` compiled on first use by
-  :mod:`repro.kernels._cext` with the system C toolchain and called
-  through ctypes (which releases the GIL for the whole peel).
-
-Both backends run the identical bucket-list algorithm, so which one
-serves a request never changes the answer.  When neither is available
-the wrappers fall back to :mod:`repro.kernels.bucketq` transparently;
+:mod:`repro.kernels.peel` (``peel_undirected`` / ``peel_atleast_k`` /
+``peel_directed`` / ``peel_directed_sweep``), backed by the C library
+that :mod:`repro.kernels._cext` compiles on first use with the system
+toolchain.  ctypes releases the GIL for the whole peel.  The C kernels
+run an incremental bucket-list peel (DESIGN §11) whose node sets,
+traces and pass counts are identical to the numpy engine's.  When the
+library does not load, the wrappers fall back to
+:mod:`repro.kernels.peel` (numpy) transparently;
 ``available_backend()`` reports what a call would actually use.
 
 Environment knobs:
 
 ``REPRO_NATIVE``
-    ``auto`` (default) — prefer numba, then C; ``numba`` / ``c`` —
-    require that backend only; ``off`` — disable the compiled tier
-    (wrappers become bucketq pass-throughs).  The same switch gates the
-    C count and scatter passes of ``CSRGraph``/``CSRDigraph.from_shards``
-    (see :func:`c_library`).
+    ``auto`` (default) or ``c`` — load the C library when a toolchain
+    builds it; ``off`` — disable the compiled tier (the wrappers become
+    numpy pass-throughs).  Any other value warns and means ``auto``.
+    The same switch gates the C count and scatter passes of
+    ``CSRGraph``/``CSRDigraph.from_shards`` (see :func:`c_library`).
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._tolerances import THRESHOLD_EPS
 from ..core.trace import DirectedPassRecord, PassRecord
-from . import bucketq
-from .bucketq import NUM_BUCKETS
+from . import peel
 from .csr import CSRDigraph, CSRGraph
 from .peel import DirectedPeelOutcome, PeelOutcome
 
+#: Bucket count of the C kernels' degree lists.  More buckets mean
+#: tighter drains (fewer above-cutoff nodes touched in the boundary
+#: bucket) at the cost of a longer per-pass bucket walk; 2048 keeps
+#: both negligible.
+NUM_BUCKETS = 2048
 
-class _NumbaBackend:
-    """Adapter over the @njit kernels (array-native call convention)."""
+_MODES = ("auto", "c", "off")
 
-    name = "numba"
-
-    def __init__(self) -> None:
-        from . import _numba_peel
-
-        self._mod = _numba_peel
-
-    def peel_undirected(self, *args, ptrs=None):
-        return self._mod.peel_undirected(*args)
-
-    def peel_atleast_k(self, *args, ptrs=None):
-        return self._mod.peel_atleast_k(*args)
-
-    def peel_directed(self, *args, ptrs=None):
-        return self._mod.peel_directed(*args)
+_LIB: Optional[ctypes.CDLL] = None
+_LIB_RESOLVED = False
 
 
-class _CBackend:
-    """Adapter over the ctypes-loaded shared library."""
-
-    name = "c"
-
-    def __init__(self) -> None:
-        from . import _cext
-
-        self._lib = _cext.load()
-
-    def peel_undirected(
-        self, indptr, indices, weights, n, total_weight, factor, eps_slack,
-        max_passes, nb, deg, alive, best_alive, bucket_of, nxt, prv, head,
-        frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (indptr, indices, weights, deg, alive, best_alive,
-                          bucket_of, nxt, prv, head, frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_undirected(
-            ptrs[0], ptrs[1], ptrs[2],
-            n, total_weight, factor, eps_slack, max_passes, nb,
-            ptrs[3], ptrs[4], ptrs[5], ptrs[6], ptrs[7], ptrs[8],
-            ptrs[9], ptrs[10], ptrs[11], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-    def peel_atleast_k(
-        self, indptr, indices, weights, n, total_weight, factor,
-        batch_fraction, eps_slack, k, stop_below_k, nb, deg, alive,
-        best_alive, bucket_of, nxt, prv, head, frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (indptr, indices, weights, deg, alive, best_alive,
-                          bucket_of, nxt, prv, head, frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_atleast_k(
-            ptrs[0], ptrs[1], ptrs[2],
-            n, total_weight, factor, batch_fraction, eps_slack,
-            k, 1 if stop_below_k else 0, nb,
-            ptrs[3], ptrs[4], ptrs[5], ptrs[6], ptrs[7], ptrs[8],
-            ptrs[9], ptrs[10], ptrs[11], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-    def peel_directed(
-        self, out_indptr, out_indices, out_weights, in_indptr, in_indices,
-        in_weights, n, total_weight, ratio, one_plus_eps, eps_slack,
-        use_max_degree_rule, nb, out_to_t, in_from_s, in_s, in_t, best_s,
-        best_t, s_bucket_of, s_nxt, s_prv, s_head, t_bucket_of, t_nxt,
-        t_prv, t_head, frontier, trace, ptrs=None,
-    ):
-        if ptrs is None:
-            ptrs = tuple(
-                a.ctypes.data
-                for a in (out_indptr, out_indices, out_weights, in_indptr,
-                          in_indices, in_weights, out_to_t, in_from_s, in_s,
-                          in_t, best_s, best_t, s_bucket_of, s_nxt, s_prv,
-                          s_head, t_bucket_of, t_nxt, t_prv, t_head,
-                          frontier, trace)
-            )
-        bd = ctypes.c_double()
-        bp = ctypes.c_int64()
-        ps = ctypes.c_int64()
-        status = self._lib.repro_peel_directed(
-            ptrs[0], ptrs[1], ptrs[2], ptrs[3], ptrs[4], ptrs[5],
-            n, total_weight, ratio, one_plus_eps, eps_slack,
-            1 if use_max_degree_rule else 0, nb,
-            ptrs[6], ptrs[7], ptrs[8], ptrs[9], ptrs[10], ptrs[11],
-            ptrs[12], ptrs[13], ptrs[14], ptrs[15], ptrs[16], ptrs[17],
-            ptrs[18], ptrs[19], ptrs[20], ptrs[21], trace.shape[0],
-            ctypes.byref(bd), ctypes.byref(bp), ctypes.byref(ps),
-        )
-        return status, bd.value, bp.value, ps.value
-
-
-_BACKEND: Optional[object] = None
-_BACKEND_RESOLVED = False
-
-
-def _pick_backend() -> Optional[object]:
+def _load_library() -> Optional[ctypes.CDLL]:
     mode = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
+    if mode not in _MODES:
+        warnings.warn(
+            f"REPRO_NATIVE={mode!r} is not one of {_MODES}; using 'auto'",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        mode = "auto"
     if mode == "off":
         return None
-    if mode in ("auto", "numba"):
-        try:
-            return _NumbaBackend()
-        except Exception:
-            if mode == "numba":
-                return None
-    if mode in ("auto", "c"):
-        try:
-            return _CBackend()
-        except Exception:
-            return None
-    return None
+    from . import _cext
 
-
-def get_backend() -> Optional[object]:
-    """The active compiled backend instance (memoized), or None."""
-    global _BACKEND, _BACKEND_RESOLVED
-    if not _BACKEND_RESOLVED:
-        _BACKEND = _pick_backend()
-        _BACKEND_RESOLVED = True
-    return _BACKEND
+    try:
+        return _cext.load()
+    except Exception:
+        return None
 
 
 def c_library() -> Optional[ctypes.CDLL]:
-    """The loaded C library when the C backend is active, else None.
+    """The loaded C library (memoized), or None when it is off or absent.
 
     The CSR build's count and scatter passes live in the same library
-    as the C peel kernels, so they follow the same ``REPRO_NATIVE``
+    as the peel kernels, so they follow the same ``REPRO_NATIVE``
     switch: the build runs in C exactly when the peels do, and on
-    numpy under ``off``, without a toolchain, or with numba serving
-    the peels.
+    numpy under ``off`` or without a toolchain.
     """
-    backend = get_backend()
-    return backend._lib if isinstance(backend, _CBackend) else None
+    global _LIB, _LIB_RESOLVED
+    if not _LIB_RESOLVED:
+        _LIB = _load_library()
+        _LIB_RESOLVED = True
+    return _LIB
 
 
 def available_backend() -> Optional[str]:
-    """``"numba"``, ``"c"``, or None when the compiled tier is absent."""
-    backend = get_backend()
-    return getattr(backend, "name", None) if backend is not None else None
+    """``"c"``, or None when the compiled tier is absent."""
+    return "c" if c_library() is not None else None
 
 
 def reset_backend_cache() -> None:
-    """Forget the memoized backend (tests flip REPRO_NATIVE and re-probe)."""
-    global _BACKEND, _BACKEND_RESOLVED
-    _BACKEND = None
-    _BACKEND_RESOLVED = False
+    """Forget the memoized library (tests flip REPRO_NATIVE and re-probe)."""
+    global _LIB, _LIB_RESOLVED
+    _LIB = None
+    _LIB_RESOLVED = False
 
 
 # Scratch arrays are reused across calls (the trace buffer alone is
@@ -274,41 +160,28 @@ def _directed_scratch(n: int, cap: int):
     return scratch
 
 
-def _graph_args(csr: CSRGraph):
-    """Contiguity-checked CSR arrays + raw pointers, cached on the graph."""
+def _csr_ptrs(csr, names: Tuple[str, ...]) -> Tuple[int, ...]:
+    """Raw pointers of contiguous int32/float64 copies of the named CSR
+    arrays, cached in the snapshot's ``_peel_args`` slot, which also
+    keeps the copies alive while the kernels hold their pointers."""
     cached = getattr(csr, "_peel_args", None)
     if cached is None:
-        indptr = np.ascontiguousarray(csr.indptr, dtype=np.int32)
-        indices = np.ascontiguousarray(csr.indices, dtype=np.int32)
-        weights = np.ascontiguousarray(csr.weights, dtype=np.float64)
-        cached = (
-            indptr, indices, weights,
-            (indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data),
+        arrays = tuple(
+            np.ascontiguousarray(
+                getattr(csr, name),
+                dtype=np.float64 if name.endswith("weights") else np.int32,
+            )
+            for name in names
         )
-        try:
-            csr._peel_args = cached
-        except AttributeError:
-            pass
-    return cached
+        cached = csr._peel_args = (arrays, tuple(a.ctypes.data for a in arrays))
+    return cached[1]
 
 
-def _digraph_args(csr: CSRDigraph):
-    cached = getattr(csr, "_peel_args", None)
-    if cached is None:
-        arrays = (
-            np.ascontiguousarray(csr.out_indptr, dtype=np.int32),
-            np.ascontiguousarray(csr.out_indices, dtype=np.int32),
-            np.ascontiguousarray(csr.out_weights, dtype=np.float64),
-            np.ascontiguousarray(csr.in_indptr, dtype=np.int32),
-            np.ascontiguousarray(csr.in_indices, dtype=np.int32),
-            np.ascontiguousarray(csr.in_weights, dtype=np.float64),
-        )
-        cached = arrays + (tuple(a.ctypes.data for a in arrays),)
-        try:
-            csr._peel_args = cached
-        except AttributeError:
-            pass
-    return cached
+_GRAPH_ARRAYS = ("indptr", "indices", "weights")
+_DIGRAPH_ARRAYS = (
+    "out_indptr", "out_indices", "out_weights",
+    "in_indptr", "in_indices", "in_weights",
+)
 
 
 def _decode_undirected_trace(trace: np.ndarray, passes: int) -> Tuple[PassRecord, ...]:
@@ -332,45 +205,53 @@ def _decode_undirected_trace(trace: np.ndarray, passes: int) -> Tuple[PassRecord
     )
 
 
+def _outputs() -> Tuple[ctypes.c_double, ctypes.c_int64, ctypes.c_int64]:
+    """The kernels' out-parameters: best density, best pass, passes."""
+    return ctypes.c_double(), ctypes.c_int64(), ctypes.c_int64()
+
+
+def _undirected_outcome(best_alive, best_density, best_pass, passes, trace):
+    return PeelOutcome(
+        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
+        best_density=best_density.value,
+        passes=passes.value,
+        best_pass=best_pass.value,
+        trace=_decode_undirected_trace(trace, passes.value),
+    )
+
+
 def peel_undirected(
     csr: CSRGraph,
     epsilon: float,
     *,
     max_passes: Optional[int] = None,
 ) -> PeelOutcome:
-    """Algorithm 1 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 1 via the C library (numpy fallback)."""
+    lib = c_library()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_undirected(csr, epsilon, max_passes=max_passes)
+    if lib is None or n == 0:
+        return peel.peel_undirected(csr, epsilon, max_passes=max_passes)
     factor = 2.0 * (1.0 + epsilon)
     mp = -1 if max_passes is None else int(max_passes)
-    indptr, indices, weights, csr_ptrs = _graph_args(csr)
+    csr_ptrs = _csr_ptrs(csr, _GRAPH_ARRAYS)
+    best_density, best_pass, passes = _outputs()
     cap = min(n, 4096) + 1
     while True:
-        (
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier,
-            trace, scratch_ptrs,
-        ) = _undirected_scratch(n, cap)
+        scratch = _undirected_scratch(n, cap)
+        deg, alive, best_alive, trace = scratch[0], scratch[1], scratch[2], scratch[8]
         np.copyto(deg, csr.degrees)
         alive.fill(1)
         best_alive.fill(1)
-        status, best_density, best_pass, passes = backend.peel_undirected(
-            indptr, indices, weights, n, csr.total_weight, factor,
-            THRESHOLD_EPS, mp, NUM_BUCKETS, deg, alive, best_alive,
-            bucket_of, nxt, prv, head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status = lib.repro_peel_undirected(
+            *csr_ptrs, n, csr.total_weight, factor, THRESHOLD_EPS, mp,
+            NUM_BUCKETS, *scratch[-1], trace.shape[0],
+            ctypes.byref(best_density), ctypes.byref(best_pass),
+            ctypes.byref(passes),
         )
         if status == 0:
             break
         cap = min(max(cap * 4, cap + 1), n + 1)
-    return PeelOutcome(
-        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
-        best_density=float(best_density),
-        passes=int(passes),
-        best_pass=int(best_pass),
-        trace=_decode_undirected_trace(trace, int(passes)),
-    )
+    return _undirected_outcome(best_alive, best_density, best_pass, passes, trace)
 
 
 def peel_atleast_k(
@@ -380,39 +261,33 @@ def peel_atleast_k(
     *,
     stop_below_k: bool = True,
 ) -> PeelOutcome:
-    """Algorithm 2 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 2 via the C library (numpy fallback)."""
+    lib = c_library()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
+    if lib is None or n == 0:
+        return peel.peel_atleast_k(csr, k, epsilon, stop_below_k=stop_below_k)
     factor = 2.0 * (1.0 + epsilon)
     batch_fraction = epsilon / (1.0 + epsilon)
-    indptr, indices, weights, csr_ptrs = _graph_args(csr)
+    csr_ptrs = _csr_ptrs(csr, _GRAPH_ARRAYS)
+    best_density, best_pass, passes = _outputs()
     cap = min(n, 4096) + 1
     while True:
-        (
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier,
-            trace, scratch_ptrs,
-        ) = _undirected_scratch(n, cap)
+        scratch = _undirected_scratch(n, cap)
+        deg, alive, best_alive, trace = scratch[0], scratch[1], scratch[2], scratch[8]
         np.copyto(deg, csr.degrees)
         alive.fill(1)
         best_alive.fill(1)
-        status, best_density, best_pass, passes = backend.peel_atleast_k(
-            indptr, indices, weights, n, csr.total_weight, factor,
-            batch_fraction, THRESHOLD_EPS, int(k), stop_below_k, NUM_BUCKETS,
-            deg, alive, best_alive, bucket_of, nxt, prv, head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status = lib.repro_peel_atleast_k(
+            *csr_ptrs, n, csr.total_weight, factor, batch_fraction,
+            THRESHOLD_EPS, int(k), 1 if stop_below_k else 0, NUM_BUCKETS,
+            *scratch[-1], trace.shape[0],
+            ctypes.byref(best_density), ctypes.byref(best_pass),
+            ctypes.byref(passes),
         )
         if status == 0:
             break
         cap = min(max(cap * 4, cap + 1), n + 1)
-    return PeelOutcome(
-        best_indices=np.flatnonzero(best_alive).astype(np.int64, copy=False),
-        best_density=float(best_density),
-        passes=int(passes),
-        best_pass=int(best_pass),
-        trace=_decode_undirected_trace(trace, int(passes)),
-    )
+    return _undirected_outcome(best_alive, best_density, best_pass, passes, trace)
 
 
 def peel_directed(
@@ -422,42 +297,37 @@ def peel_directed(
     *,
     side_rule: str = "size_ratio",
 ) -> DirectedPeelOutcome:
-    """Algorithm 3 via the compiled backend (bucketq fallback)."""
-    backend = get_backend()
+    """Algorithm 3 via the C library (numpy fallback)."""
+    lib = c_library()
     n = csr.num_nodes
-    if backend is None or n == 0:
-        return bucketq.peel_directed(csr, ratio, epsilon, side_rule=side_rule)
-    (
-        out_indptr, out_indices, out_weights,
-        in_indptr, in_indices, in_weights, csr_ptrs,
-    ) = _digraph_args(csr)
+    if lib is None or n == 0:
+        return peel.peel_directed(csr, ratio, epsilon, side_rule=side_rule)
+    csr_ptrs = _csr_ptrs(csr, _DIGRAPH_ARRAYS)
     use_max_degree = side_rule != "size_ratio"
+    best_density, best_pass, passes = _outputs()
     cap = min(2 * n, 8192) + 1
     while True:
-        (
-            out_to_t, in_from_s, in_s, in_t, best_s, best_t,
-            s_bucket_of, s_nxt, s_prv, s_head,
-            t_bucket_of, t_nxt, t_prv, t_head,
-            frontier, trace, scratch_ptrs,
-        ) = _directed_scratch(n, cap)
+        scratch = _directed_scratch(n, cap)
+        out_to_t, in_from_s, in_s, in_t, best_s, best_t = scratch[:6]
+        trace = scratch[15]
         np.copyto(out_to_t, csr.out_degrees)
         np.copyto(in_from_s, csr.in_degrees)
         in_s.fill(1)
         in_t.fill(1)
         best_s.fill(1)
         best_t.fill(1)
-        status, best_density, best_pass, passes = backend.peel_directed(
-            out_indptr, out_indices, out_weights, in_indptr, in_indices,
-            in_weights, n, csr.total_weight, float(ratio), 1.0 + epsilon,
-            THRESHOLD_EPS, use_max_degree, NUM_BUCKETS, out_to_t, in_from_s,
-            in_s, in_t, best_s, best_t, s_bucket_of, s_nxt, s_prv, s_head,
-            t_bucket_of, t_nxt, t_prv, t_head, frontier, trace,
-            ptrs=csr_ptrs + scratch_ptrs,
+        status = lib.repro_peel_directed(
+            *csr_ptrs, n, csr.total_weight, float(ratio), 1.0 + epsilon,
+            THRESHOLD_EPS, 1 if use_max_degree else 0, NUM_BUCKETS,
+            *scratch[-1], trace.shape[0],
+            ctypes.byref(best_density), ctypes.byref(best_pass),
+            ctypes.byref(passes),
         )
         if status == 0:
             break
         cap = min(max(cap * 4, cap + 1), 2 * n + 1)
-    rows = trace[: int(passes)].tolist()
+    passes = passes.value
+    rows = trace[:passes].tolist()
     records: List[DirectedPassRecord] = [
         DirectedPassRecord(
             pass_index=i + 1,
@@ -478,9 +348,9 @@ def peel_directed(
     return DirectedPeelOutcome(
         best_s=np.flatnonzero(best_s).astype(np.int64, copy=False),
         best_t=np.flatnonzero(best_t).astype(np.int64, copy=False),
-        best_density=float(best_density),
-        passes=int(passes),
-        best_pass=int(best_pass),
+        best_density=best_density.value,
+        passes=passes,
+        best_pass=best_pass.value,
         trace=tuple(records),
     )
 

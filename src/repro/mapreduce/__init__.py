@@ -20,6 +20,7 @@ translate counters into simulated wall-clock (Figure 6.7).
   node-removal job per pass), on either engine.
 """
 
+from .columnar import ColumnarKV, GroupedKV
 from .job import JobCounters, MapReduceJob
 from .runtime import MapReduceRuntime, register_job
 from .cost import CostModel
@@ -44,11 +45,6 @@ __all__ = [
     "mr_densest_subgraph_directed",
     "resolve_mr_engine",
     "MapReduceRunReport",
+    "ColumnarKV",
+    "GroupedKV",
 ]
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    from .columnar import ColumnarKV, GroupedKV
-except ImportError:  # pragma: no cover
-    pass  # the batch types need numpy; importing them raises ImportError
-else:
-    __all__ += ["ColumnarKV", "GroupedKV"]

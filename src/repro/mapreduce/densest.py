@@ -59,6 +59,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_float
 from ..core.result import DensestSubgraphResult, DirectedDensestSubgraphResult
@@ -66,17 +68,10 @@ from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import MapReduceError, ParameterError
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
+from .columnar import ColumnarKV
 from .cost import CostModel
 from .job import JobCounters, MapReduceJob
 from .runtime import MapReduceRuntime, register_job
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as np
-
-    from .columnar import ColumnarKV
-except ImportError:  # pragma: no cover
-    np = None
-    ColumnarKV = None
 
 Node = Hashable
 _MARKER = "$"
@@ -413,13 +408,6 @@ def resolve_mr_engine(engine: str, graph) -> str:
     if engine not in ENGINES:
         raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "python":
-        return "python"
-    if np is None:
-        if engine == "numpy":
-            raise ParameterError(
-                "engine='numpy' requires numpy, which is not importable; "
-                "use engine='python'"
-            )
         return "python"
     eligible = _int_labeled(graph)
     if engine == "numpy":

@@ -66,15 +66,11 @@ from typing import Optional
 
 from .._validation import check_positive_int
 from ..errors import MapReduceError, ParameterError
+from .columnar import ColumnarKV
 from .job import JobCounters, KV, MapReduceJob
 
 #: Executor kinds accepted by :class:`MapReduceRuntime`.
 EXECUTORS = ("serial", "process")
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    from .columnar import ColumnarKV
-except ImportError:  # pragma: no cover
-    ColumnarKV = None
 
 
 class TransientTaskError(Exception):
@@ -414,7 +410,7 @@ def shuffle_size(partition) -> Tuple[int, int]:
     key field + the column dtypes per record), so serial, in-memory
     process, and file-shuffle process runs all count the same bytes.
     """
-    if ColumnarKV is not None and isinstance(partition, ColumnarKV):
+    if isinstance(partition, ColumnarKV):
         return partition.num_records, partition.byte_size()
     total = 0
     for key, value in partition:
@@ -760,9 +756,7 @@ class MapReduceRuntime:
             raise MapReduceError(
                 f"job {job.name!r} does not declare takes_params but got params"
             )
-        if isinstance(input_pairs, SpilledSplits) or (
-            ColumnarKV is not None and isinstance(input_pairs, ColumnarKV)
-        ):
+        if isinstance(input_pairs, (SpilledSplits, ColumnarKV)):
             if not job.supports_batches:
                 raise MapReduceError(
                     f"job {job.name!r} got a columnar batch but declares no "
@@ -1063,7 +1057,7 @@ class MapReduceRuntime:
         """
         if self.shuffle_dir is None:
             raise MapReduceError("spill_splits requires a runtime shuffle_dir")
-        if ColumnarKV is None or not isinstance(batch, ColumnarKV):
+        if not isinstance(batch, ColumnarKV):
             raise MapReduceError("spill_splits takes a ColumnarKV batch")
         from pathlib import Path
 
@@ -1107,7 +1101,7 @@ def _check_pair(out: Any, job: str, stage: str) -> None:
 
 def _check_batch(out: Any, job: str, stage: str) -> None:
     """Validate that a batch function emitted a ColumnarKV."""
-    if ColumnarKV is None or not isinstance(out, ColumnarKV):
+    if not isinstance(out, ColumnarKV):
         raise MapReduceError(
             f"job {job!r}: {stage} must emit a ColumnarKV batch, "
             f"got {type(out).__name__}"

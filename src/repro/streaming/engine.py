@@ -40,6 +40,8 @@ import math
 from itertools import islice
 from typing import Hashable, List, Optional, Tuple
 
+import numpy as _np
+
 from .._tolerances import THRESHOLD_EPS
 from .._validation import check_epsilon, check_positive_float, check_positive_int
 from ..core._compact import drop_killed
@@ -48,11 +50,6 @@ from ..core.trace import DirectedPassRecord, PassRecord
 from ..errors import ParameterError, StreamError
 from .memory import MemoryAccountant
 from .stream import EdgeStream
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 Node = Hashable
 
@@ -124,7 +121,7 @@ class _IntStreamScanner:
     @classmethod
     def build(cls, labels, threads: int = 1) -> Optional["_IntStreamScanner"]:
         """A scanner for ``labels``, or None when ineligible."""
-        if FORCE_PYTHON_SCAN or _np is None or not labels:
+        if FORCE_PYTHON_SCAN or not labels:
             return None
         if not isinstance(labels, range):  # ranges are ints by construction
             from ..kernels.csr import _all_int_labels

@@ -1,42 +1,48 @@
-"""Kernel tier ladder: bucket-queue and compiled engines, fallbacks,
-and the threaded shard-scan path.
+"""Kernel tier ladder: the compiled engine, its numpy fallback, and the
+threaded shard-scan path.
 
 Three contracts:
 
-* Every importable tier (numpy / bucketq / native) returns *identical*
-  node sets, pass counts, and integer trace fields — and float trace
-  fields within reassociation noise — for Algorithms 1–3 (the same
+* Every available tier (numpy / native) returns *identical* node sets,
+  pass counts, and integer trace fields — and float trace fields
+  within reassociation noise — for Algorithms 1–3 (the same
   convention as tests/test_kernels_parity.py).
-* Requesting an unavailable compiled engine degrades with a
-  :class:`RuntimeWarning` instead of raising; the answer is identical.
+* Requesting the compiled engine without the C library degrades to
+  numpy with a :class:`RuntimeWarning` instead of raising; the answer
+  is byte-identical.
 * ``scan_threads > 1`` on the streaming engines is bit-identical to the
   sequential scan, including the stream's edge/byte accounting.
 """
 
 import dataclasses
 import random
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.api import DensestSubgraph, ExecutionContext, solve
+from repro.api import (
+    DensestAtLeastK,
+    DensestSubgraph,
+    DirectedDensest,
+    ExecutionContext,
+    solve,
+)
 from repro.core.atleast_k import densest_subgraph_atleast_k
 from repro.core.directed import densest_subgraph_directed, ratio_sweep
 from repro.core.undirected import densest_subgraph
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SolverError
 from repro.graph.directed import DirectedGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.kernels import (
     ENGINES,
     NATIVE_SIZE_CUTOFF,
+    _cext,
     auto_tier,
     native_backend,
     peel_functions,
     resolve_engine,
     tier_report,
 )
-from repro.kernels.bucketq import BucketQueue
 
 EPSILONS = [0.0, 0.1, 0.5]
 #: Dyadic weights sum exactly in any order, so cross-tier float trace
@@ -45,10 +51,10 @@ EPSILONS = [0.0, 0.1, 0.5]
 WEIGHTS = [1.0, 0.5, 2.25, 3.0, 0.125]
 ABS = 1e-9
 
-#: The vectorized tiers importable in this environment; "native" is
-#: present whenever numba imports or a C toolchain compiled the
-#: kernels (both feed the same engine name).
-TIERS = ["bucketq"] + (["native"] if native_backend() is not None else [])
+#: The compiled tiers available in this environment: "native" whenever
+#: the C library loads (without it, "native" runs as numpy — see
+#: TestCompiledFallback).
+TIERS = ["native"] if native_backend() is not None else []
 
 #: A graph size well past every ``auto`` cutoff.
 LARGE_GRAPH_NODES = 32768
@@ -184,32 +190,6 @@ class TestTierParity:
 
 
 # ----------------------------------------------------------------------
-# Bucket queue unit behavior
-# ----------------------------------------------------------------------
-class TestBucketQueue:
-    def test_drain_upto_returns_all_at_or_below(self):
-        vals = np.array([5.0, 1.0, 3.0, 0.0, 9.0, 2.0])
-        q = BucketQueue(vals)
-        drained = set(int(i) for i in q.drain_upto(3.0))
-        assert drained == {1, 2, 3, 5}
-
-    def test_decrease_moves_only_downward(self):
-        vals = np.array([10.0, 20.0, 30.0])
-        q = BucketQueue(vals)
-        q.decrease(np.array([2], dtype=np.int64), np.array([1.0]))
-        drained = q.drain_upto(1.5)
-        assert 2 in set(int(i) for i in drained)
-
-    def test_remove_then_drain_skips_dead(self):
-        vals = np.array([1.0, 1.0, 1.0, 50.0])
-        q = BucketQueue(vals)
-        q.remove(np.array([1], dtype=np.int64))
-        drained = q.drain_upto(2.0)
-        assert 1 not in set(int(i) for i in drained)
-        assert {0, 2} <= set(int(i) for i in drained)
-
-
-# ----------------------------------------------------------------------
 # Graceful degradation when the compiled backend is unavailable
 # ----------------------------------------------------------------------
 class TestCompiledFallback:
@@ -224,12 +204,11 @@ class TestCompiledFallback:
 
         native.reset_backend_cache()
 
-    @pytest.mark.parametrize("engine", ["native", "numba"])
-    def test_no_backend_falls_back_to_bucketq(self, monkeypatch, engine):
+    def test_no_backend_falls_back_to_numpy(self, monkeypatch):
         self._force_off(monkeypatch)
         try:
-            with pytest.warns(RuntimeWarning, match="falling back to the bucketq"):
-                assert resolve_engine(engine) == "bucketq"
+            with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
+                assert resolve_engine("native") == "numpy"
         finally:
             self._restore()
 
@@ -238,7 +217,7 @@ class TestCompiledFallback:
         ref = densest_subgraph(graph, 0.5, engine="numpy")
         self._force_off(monkeypatch)
         try:
-            with pytest.warns(RuntimeWarning):
+            with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
                 out = densest_subgraph(graph, 0.5, engine="native")
         finally:
             self._restore()
@@ -252,24 +231,79 @@ class TestCompiledFallback:
         finally:
             self._restore()
 
-    @pytest.mark.skipif(
-        native_backend() != "c", reason="numba importable: no degradation to test"
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: DensestSubgraph(s[False], epsilon=0.2),
+            lambda s: DensestAtLeastK(s[False], k=30, epsilon=0.1),
+            lambda s: DirectedDensest(s[True], ratio=1.0, epsilon=0.3),
+        ],
+        ids=["densest", "at_least_k", "directed"],
     )
-    def test_numba_request_degrades_to_c_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="compiled C backend"):
-            assert resolve_engine("numba") == "native"
+    def test_native_without_library_matches_numpy_byte_for_byte(
+        self, tmp_path, monkeypatch, make
+    ):
+        snapshots = {
+            directed: _write_store(
+                tmp_path / f"d{int(directed)}", directed=directed
+            ).snapshot()
+            for directed in (False, True)
+        }
+        problem = make(snapshots)
+        self._force_off(monkeypatch)
+        try:
+            with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
+                native = solve(problem, backend="core", engine="native")
+            pinned = solve(problem, backend="core", engine="numpy")
+        finally:
+            self._restore()
+        assert native.to_json() == pinned.to_json()
 
-    @pytest.mark.skipif(
-        native_backend() != "numba", reason="needs an importable numba"
-    )
-    def test_numba_request_resolves_silently_when_importable(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_engine("numba") == "native"
+    def _probe(self, monkeypatch, value):
+        from repro.kernels import native
+
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        native.reset_backend_cache()
+        try:
+            with pytest.warns(RuntimeWarning, match="'auto', 'c', 'off'") as record:
+                backend = native_backend()
+            # Memoized: the warning is issued once, not per call.
+            assert native_backend() == backend
+        finally:
+            native.reset_backend_cache()
+        assert len(record) == 1
+        return backend
+
+    @pytest.mark.skipif(_cext.find_compiler() is None, reason="no C compiler")
+    def test_numba_request_degrades_to_c_with_warning(self, monkeypatch):
+        # REPRO_NATIVE=numba named a backend that no longer exists; it
+        # must warn and keep the C tier, not silently disable it.
+        assert self._probe(monkeypatch, "numba") == "c"
+
+    @pytest.mark.skipif(_cext.find_compiler() is None, reason="no C compiler")
+    @pytest.mark.parametrize("value", ["on", "1"])
+    def test_unrecognised_native_mode_warns_and_uses_default(
+        self, monkeypatch, value
+    ):
+        assert self._probe(monkeypatch, value) == "c"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ParameterError, match="engine must be one of"):
             resolve_engine("cython")
+
+    @pytest.mark.parametrize("engine", ["bucketq", "numba"])
+    def test_removed_engines_rejected_at_every_front_door(self, engine, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ParameterError, match="engine must be one of"):
+            resolve_engine(engine)
+        problem = DensestSubgraph(random_undirected(5, weighted=False), epsilon=0.5)
+        with pytest.raises(SolverError, match="supports engine="):
+            solve(problem, backend="core", engine=engine)
+        with pytest.raises(SystemExit) as exc:
+            main(["densest", "--dataset", "as_sim", "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +314,9 @@ class TestTierReport:
         report = tier_report()
         assert report["python"] is True
         assert report["numpy"] is True
-        assert report["bucketq"] is True
+        assert "bucketq" not in report
         assert report["native"] == (native_backend() is not None)
-        assert report["native_backend"] in (None, "numba", "c")
+        assert report["native_backend"] in (None, "c")
         ladder = report["auto_ladder"]
         assert ladder["native_cutoff"] == NATIVE_SIZE_CUTOFF
         assert "bucketq_cutoff" not in ladder
@@ -299,10 +333,10 @@ class TestTierReport:
         assert auto_tier(LARGE_GRAPH_NODES) == expected_big
 
     def test_engines_tuple_is_public_contract(self):
-        assert ENGINES == ("auto", "python", "numpy", "bucketq", "native", "numba")
+        assert ENGINES == ("auto", "python", "numpy", "native")
 
     def test_peel_functions_exposes_uniform_surface(self):
-        for tier in ["numpy"] + TIERS:
+        for tier in ("numpy", "native"):
             mod = peel_functions(tier)
             for fn in (
                 "peel_undirected",
@@ -318,7 +352,7 @@ class TestTierReport:
         assert main(["backends", "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "kernel tiers" in out
-        assert "bucketq" in out
+        assert "bucketq" not in out
 
     def test_stats_reports_kernel_tiers(self, tmp_path):
         from repro.serve.app import DensestService
@@ -330,7 +364,8 @@ class TestTierReport:
         finally:
             service.close()
         tiers = payload["kernel_tiers"]
-        assert tiers is not None and tiers["bucketq"] is True
+        assert tiers is not None and tiers["numpy"] is True
+        assert "bucketq" not in tiers
 
 
 # ----------------------------------------------------------------------
